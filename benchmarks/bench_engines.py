@@ -27,7 +27,12 @@ wall-clock and memory profile of the replication fan-out for one
   the horizon (not the topology) dominates the one-shot footprint.
 * ``chunked_ps`` — the PS chunk carry on the same cell (one
   replication): max abs deviation of the chunked fair-share
-  construction from the one-shot PS sweep, pinned ≤ 1e-9.
+  construction from the one-shot PS sweep, pinned ≤ 1e-9 (the engine
+  contract; the shared kernel makes it 0.0).
+* ``ps_s`` / ``fifo_s`` — the pinned cell measured once with
+  Processor-Sharing servers (network Q̃, §3.3) and once with FIFO, on
+  the default batched path.  ``ps_vs_fifo`` is PS over FIFO wall time
+  per packet, pinned ≤ 3.0.
 * ``event_s`` / ``event_batched_s`` — the replication-batched event
   calendar on a **sparse cyclic-scheme cell** (``random_order``: the
   server graph is cyclic, so only the event engine can run it):
@@ -213,6 +218,10 @@ def run_experiment(quick=False):
         par_s, par_m = _best_of(
             lambda: measure(spec, jobs=4, batch=True, pin_workers=True)
         )
+    ps_s, ps_m = _best_of(
+        lambda: measure(spec.replace(discipline="ps"), jobs=1, batch=True)
+    )
+    ps_vs_fifo = (ps_s / ps_m.num_packets) / (bat_s / bat_m.num_packets)
     chunk_spec = spec.replace(extra={"chunk_packets": TIMING_CHUNK})
     chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1, batch=True))
 
@@ -271,6 +280,9 @@ def run_experiment(quick=False):
             "skipped_single_core" if jobs4_skipped else round(bat_s / par_s, 2)
         ),
         "chunked_vs_sequential": round(seq_s / chk_s, 2),
+        "ps_s": round(ps_s, 4),
+        "fifo_s": round(bat_s, 4),
+        "ps_vs_fifo": round(ps_vs_fifo, 2),
         "bit_identical": bool(bit_identical),
         "chunked_bit_identical": bool(chunked_identical),
         "per_replication_bit_identical": bool(per_rep_identical),
@@ -302,7 +314,8 @@ def emit_json(results):
         "cache-resident sub-batched engine path (jobs=1, same process "
         "-- the headline batched_vs_sequential ratio), and the "
         "shared-workload parallel composition (jobs=4); plus the "
-        "bounded-memory chunked-horizon mode and the seed's per-arc "
+        "bounded-memory chunked-horizon mode, PS vs FIFO per packet on "
+        "the same cell, and the seed's per-arc "
         "serve_level re-enacted verbatim as the historical baseline",
         **results,
     }
@@ -322,6 +335,7 @@ def test_engines_benchmark():
     assert results["speedup_vs_seed"] > 1.0
     assert results["event_bit_identical"]
     assert results["event_batched_vs_event"] > 1.0
+    assert "ps_vs_fifo" in results
     print(f"\n[written to {path}]")
 
 
@@ -349,3 +363,5 @@ if __name__ == "__main__":
         sys.exit("FAIL: chunked-horizon overhead regressed below 0.9x")
     if not quick and results["event_batched_vs_event"] < 2.0:
         sys.exit("FAIL: batched event calendar is not >= 2x sequential")
+    if not quick and results["ps_vs_fifo"] > 3.0:
+        sys.exit("FAIL: PS costs more than 3x FIFO per packet")

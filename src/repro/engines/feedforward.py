@@ -36,9 +36,9 @@ packets are processed in birth-ordered chunks with per-arc queue state
 carried between chunks, so peak memory is bounded by the chunk size
 and the topology instead of the horizon — the d ≥ 20 regime.  FIFO
 carries (count, running-Lindley-max) per arc and is bit-identical to
-the one-shot path (tested); PS carries the in-service packets of each
-busy arc and agrees with the one-shot fair-share construction to
-≤ 1e-9 at every chunk size (tested).
+the one-shot path (tested); PS carries each arc's fair-share state and
+in-service packets and resumes the one-shot sweep's kernel from them,
+so it is bit-identical too (tested; the engine contract is ≤ 1e-9).
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ levels ``0..l-1`` are solved, the complete arrival stream of every
 level-``l`` server is known, and each server is solved in one shot —
 FIFO by the closed-form Lindley recursion
 (:func:`repro.sim.lindley.fifo_departure_times`), PS by the exact
-fair-share construction (:func:`repro.sim.servers.ps_departure_times`).
+fair-share construction, every server of a level at once
+(:func:`repro.sim.servers.ps_serve_segments`).
 
 Two front ends:
 
@@ -37,7 +38,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import SeedLike, as_generator
 from repro.sim.measurement import DelayRecord
-from repro.sim.servers import ps_departure_times
+from repro.sim.servers import ps_serve_segments
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
@@ -194,17 +195,27 @@ def serve_level(
     of :func:`repro.sim.lindley.fifo_departure_times`, with the running
     maximum computed by :func:`_segmented_running_max`) — no Python
     loop over arcs, which is what makes the replication-batched engine
-    path scale.  PS keeps the exact per-arc fair-share construction.
+    path scale.  PS runs every arc at once through the lockstep
+    fair-share kernel :func:`repro.sim.servers.ps_serve_segments`: one
+    NumPy step per event of the busiest arcs, then a scalar loop for
+    the last few, bit-identical to a per-arc
+    :class:`~repro.sim.servers.PSServer` replay.
+
+    ``service`` must be finite and > 0 (every entry of a per-arc
+    array, checked once per call).
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
+    per_arc = isinstance(service, np.ndarray)
+    if per_arc:
+        if not (np.all(service > 0.0) and np.all(np.isfinite(service))):
+            raise ValueError("per-arc service times must be finite and > 0")
+    elif not 0.0 < service < np.inf:
+        raise ValueError(f"service time must be finite and > 0, got {service}")
     n = arcs.shape[0]
     dep = np.empty(n)
     if n == 0:
         return dep, np.zeros(0, dtype=np.int64)
-    per_arc = isinstance(service, np.ndarray)
-    if not per_arc and service <= 0.0:
-        raise ValueError(f"service time must be > 0, got {service}")
     if blocks is None:
         order = np.lexsort((pids, times, arcs))
     else:
@@ -217,7 +228,6 @@ def serve_level(
     t_s = times[order]
     starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
     bounds = np.r_[starts, n]
-    dep_s = np.empty(n)
     if discipline == "fifo":
         counts = np.diff(bounds)
         pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
@@ -226,10 +236,12 @@ def serve_level(
         run = _segmented_running_max(t_s - s_rows * idx, pos, blocks)
         dep_s = s_rows * (idx + 1.0) + run
     else:
-        for i in range(starts.shape[0]):
-            lo, hi = bounds[i], bounds[i + 1]
-            s = float(service[int(a_s[lo])]) if per_arc else float(service)
-            dep_s[lo:hi] = ps_departure_times(t_s[lo:hi], work=s)
+        m = starts.shape[0]
+        work = service[a_s[starts]] if per_arc else np.full(m, float(service))
+        dep_s = ps_serve_segments(
+            t_s, np.zeros(n), starts.copy(), starts, bounds[1:],
+            np.zeros(m), np.zeros(m), work,
+        )
     dep[order] = dep_s
     return dep, order
 
@@ -490,17 +502,16 @@ def simulate_butterfly_greedy_batch(
 # (validated against the one-shot path in the tests).
 #
 # PS departures depend on arrivals beyond the chunk, so the carry is
-# the set of in-service customers per arc instead: each busy arc keeps
-# its live fair-share server (:class:`~repro.sim.servers.PSServer` —
-# the in-service arrival epochs and residual work, encoded as fair-
-# share thresholds) across chunk boundaries, departures are emitted
-# only once the watermark passes them (no later arrival can change
-# them: ties at a departure epoch are processed after the departure),
-# and the final chunk's infinite watermark closes every busy period.
-# The carried server replays the exact event order of the one-shot
-# :func:`~repro.sim.servers.ps_departure_times` construction, so the
-# sample path matches the one-shot sweep bit for bit as well (the
-# tests pin <= 1e-9, the engine contract).
+# each arc's fair-share server state instead: dense per-arc integral
+# ``S`` and clock, plus the flat rows of customers still in service
+# (their fair-share departure thresholds).  Departures are emitted only
+# once the watermark passes them (no later arrival can change them:
+# ties at a departure epoch are processed after the departure), and
+# the final chunk's infinite watermark closes every busy period.  The
+# one-shot sweep and the carry both run
+# :func:`~repro.sim.servers.ps_serve_segments`, the carry continuing
+# from the carried state, so the sample path matches the one-shot
+# sweep bit for bit as well (tested; the engine contract is 1e-9).
 #
 # To keep the per-chunk bookkeeping O(d) instead of O(d^2), rows carry
 # their *level-space* crossing mask (bit ``di`` set iff position ``di``
@@ -633,32 +644,30 @@ def _serve_fifo_carry(
     return dep
 
 
-class _PsLevelCarry:
-    """Sparse per-arc PS state for one level, carried across chunks.
+class _PsCarry:
+    """Dense per-arc PS state carried across horizon chunks.
 
-    ``servers`` maps an arc id to its live fair-share server — the
-    in-service customers' arrival state encoded as departure thresholds
-    (:class:`~repro.sim.servers.PSServer`); ``active`` is the subset of
-    arcs with customers still in service, which must be drained up to
-    every chunk's watermark even when the chunk brings them no new
-    arrivals.  Idle servers are kept (not reset): their fair-share
-    integral is part of the one-shot arithmetic, so keeping them makes
-    the carried construction replay :func:`ps_departure_times` exactly.
-    Memory is O(busy arcs + in-service customers) — topology-bounded.
+    ``S[a]`` and ``now[a]`` are arc *a*'s fair-share integral and clock
+    — kept while the arc idles, since they are part of the one-shot
+    arithmetic.  ``rows[level]`` holds that level's customers still in
+    service, flat and in service order: ``(arcs, pids, arrival epochs,
+    departure thresholds)``, or ``None`` when the level is idle.
+    Memory is O(num_arcs + in-service customers): topology-bounded.
     """
 
-    __slots__ = ("servers", "active")
+    __slots__ = ("S", "now", "rows")
 
-    def __init__(self) -> None:
-        self.servers: Dict[int, "PSServer"] = {}
-        self.active: set = set()
+    def __init__(self, num_arcs: int, num_levels: int) -> None:
+        self.S = np.zeros(num_arcs)
+        self.now = np.zeros(num_arcs)
+        self.rows: List[Optional[Tuple[np.ndarray, ...]]] = [None] * num_levels
 
-    @property
-    def busy(self) -> bool:
-        return bool(self.active)
+    def busy(self, level: int) -> bool:
+        return self.rows[level] is not None
 
     def serve(
         self,
+        level: int,
         arcs: np.ndarray,
         times: np.ndarray,
         pids: np.ndarray,
@@ -667,56 +676,52 @@ class _PsLevelCarry:
         """Feed one chunk's share of a level's PS arrivals and return
         every departure due by the *watermark* as ``(pids, epochs)``.
 
-        Replays the exact event order of the one-shot construction:
-        before each arrival, every departure due at or before it pops
-        (departures win ties — an arrival coinciding with a departure
-        epoch renders the departing customer zero service), and at the
-        chunk boundary every departure at or before the watermark pops.
-        Later arrivals are all past the watermark, so the emitted
+        The carried customers go ahead of the chunk's arrivals on each
+        arc and :func:`~repro.sim.servers.ps_serve_segments` continues
+        from the carried state, so the event order is the one-shot
+        sweep's.  Later arrivals are all past the watermark and a tie
+        with a departure epoch goes to the departure, so the emitted
         epochs are final; customers still in service stay carried.
         """
-        from repro.sim.servers import PSServer
-
-        dep_pids: List[int] = []
-        dep_times: List[float] = []
-        servers = self.servers
         if arcs.shape[0]:
-            order = np.lexsort((pids, times, arcs))
-            a_s = arcs[order]
-            t_s = times[order]
-            p_s = pids[order]
-            starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-            bounds = np.r_[starts, a_s.shape[0]]
-            for i in range(starts.shape[0]):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                arc = int(a_s[lo])
-                server = servers.get(arc)
-                if server is None:
-                    server = servers[arc] = PSServer()
-                for j in range(lo, hi):
-                    t = float(t_s[j])
-                    nxt = server.next_departure_time()
-                    while nxt is not None and nxt <= t:
-                        dt, cid = server.pop_departure()
-                        dep_pids.append(cid)
-                        dep_times.append(dt)
-                        nxt = server.next_departure_time()
-                    server.arrive(t, customer_id=int(p_s[j]))
-                self.active.add(arc)
-        for arc in sorted(self.active):
-            server = servers[arc]
-            nxt = server.next_departure_time()
-            while nxt is not None and nxt <= watermark:
-                dt, cid = server.pop_departure()
-                dep_pids.append(cid)
-                dep_times.append(dt)
-                nxt = server.next_departure_time()
-            if server.num_active == 0:
-                self.active.discard(arc)
-        return (
-            np.asarray(dep_pids, dtype=np.int64),
-            np.asarray(dep_times, dtype=float),
+            order = _arc_time_pid_order(arcs, times, pids)
+            arcs, times, pids = arcs[order], times[order], pids[order]
+        thr = np.zeros(arcs.shape[0])
+        held = self.rows[level]
+        if held is not None:
+            # both runs are sorted by arc: a stable merge keeps the
+            # carried customers ahead of the new arrivals on each arc
+            merge = np.argsort(np.concatenate([held[0], arcs]), kind="stable")
+            carried = merge < held[0].shape[0]
+            arcs, pids, times, thr = (
+                np.concatenate([c, x])[merge]
+                for c, x in zip(held, (arcs, pids, times, thr))
+            )
+        n = arcs.shape[0]
+        if n == 0:
+            return pids, times
+        starts = np.flatnonzero(np.r_[True, arcs[1:] != arcs[:-1]])
+        counts = np.diff(np.r_[starts, n])
+        first = starts
+        if held is not None:
+            first = starts + np.add.reduceat(carried.astype(np.int64), starts)
+        uniq = arcs[starts]
+        S, now = self.S[uniq], self.now[uniq]
+        head = starts.copy()
+        dep = ps_serve_segments(
+            times, thr, head, first, starts + counts, S, now,
+            np.ones(uniq.shape[0]), watermark,
         )
+        self.S[uniq] = S
+        self.now[uniq] = now
+        gone = np.arange(n) < np.repeat(head, counts)
+        stay = ~gone
+        self.rows[level] = (
+            (arcs[stay], pids[stay], times[stay], thr[stay])
+            if stay.any()
+            else None
+        )
+        return pids[gone], dep[gone]
 
 
 def _require_chunkable(discipline: str, chunk_packets: int) -> int:
@@ -780,9 +785,9 @@ def simulate_hypercube_greedy_chunked(
     """Delivery epochs of :func:`simulate_hypercube_greedy`, computed
     in birth-ordered chunks of at most ``chunk_packets`` packets.
 
-    Matches the one-shot sweep exactly — FIFO bit for bit via the dense
-    Lindley prefix carry, PS by replaying the fair-share construction
-    through carried per-arc in-service state — with peak memory bounded
+    Matches the one-shot sweep bit for bit — FIFO via the dense
+    Lindley prefix carry, PS by continuing the fair-share kernel from
+    carried per-arc server state — with peak memory bounded
     by the chunk size and the topology instead of the horizon.
     """
     chunk = _require_chunkable(discipline, chunk_packets)
@@ -811,7 +816,7 @@ def simulate_hypercube_greedy_chunked(
         cum_mask[di + 1] = np.int64(int(cum_mask[di]) | (1 << dim))
     fifo = discipline == "fifo"
     carry = _ArcCarry(cube.num_arcs) if fifo else None
-    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(d)]
+    ps_carry = None if fifo else _PsCarry(cube.num_arcs, d)
     empty_i = np.empty(0, dtype=np.int64)
     empty_f = np.empty(0)
     #: per level: rows parked by an earlier chunk because their arrival
@@ -841,7 +846,7 @@ def simulate_hypercube_greedy_chunked(
                     pids_l = pids_l[ready]
                     t_l = t_l[ready]
                     ld_l = ld_l[ready]
-            elif fifo or not ps_carry[di].busy:
+            elif fifo or not ps_carry.busy(di):
                 continue
             else:
                 pids_l, t_l, ld_l = empty_i, empty_f, empty_i
@@ -856,8 +861,8 @@ def simulate_hypercube_greedy_chunked(
             else:
                 # a busy arc drains up to the watermark even when this
                 # chunk brings it no new arrivals
-                out_pids, out_dep = ps_carry[di].serve(
-                    arc_ids, t_l, pids_l, watermark
+                out_pids, out_dep = ps_carry.serve(
+                    di, arc_ids, t_l, pids_l, watermark
                 )
                 if out_pids.size == 0:
                     continue
@@ -898,7 +903,7 @@ def simulate_butterfly_greedy_chunked(
         return delivery
     fifo = discipline == "fifo"
     carry = _ArcCarry(bf.num_arcs) if fifo else None
-    ps_carry = None if fifo else [_PsLevelCarry() for _ in range(d)]
+    ps_carry = None if fifo else _PsCarry(bf.num_arcs, d)
     empty_i = np.empty(0, dtype=np.int64)
     empty_f = np.empty(0)
     parked: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(d)]
@@ -918,7 +923,7 @@ def simulate_butterfly_greedy_chunked(
                     parked[level].append((pids_l[wait], t_l[wait]))
                     pids_l = pids_l[ready]
                     t_l = t_l[ready]
-            elif fifo or not ps_carry[level].busy:
+            elif fifo or not ps_carry.busy(level):
                 continue
             else:
                 pids_l, t_l = empty_i, empty_f
@@ -933,8 +938,8 @@ def simulate_butterfly_greedy_chunked(
                 out_pids = pids_l
                 out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
             else:
-                out_pids, out_dep = ps_carry[level].serve(
-                    arc_ids, t_l, pids_l, watermark
+                out_pids, out_dep = ps_carry.serve(
+                    level, arc_ids, t_l, pids_l, watermark
                 )
                 if out_pids.size == 0:
                     continue

@@ -9,7 +9,15 @@ deterministic work.  Both are implemented here exactly:
   *fair-share integral* ``S(t) = ∫ 1/n(u) du``: a customer arriving at
   ``a`` with work ``w`` departs at the first ``t`` with
   ``S(t) = S(a) + w``.  This gives exact departure epochs in O(log n)
-  per event with no per-customer bookkeeping on each update.
+  per event with no per-customer bookkeeping on each update.  It is the
+  reference the fast paths are tested against;
+* :func:`ps_serve_segments` — the PS kernel of the levelled sweeps:
+  many servers at once, one NumPy step per event, the same float
+  operations as :class:`PSServer` in the same order (bit-identical),
+  resumable from carried state.  :func:`ps_departure_times` is its
+  one-server form;
+* :class:`PsServerBank` — the same rules for the event engine, one
+  server per arc, driven one event at a time by its calendar.
 
 Ties: an arrival that coincides with a departure epoch is processed
 *after* the departure (the departing customer's residual work hits zero
@@ -24,7 +32,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["FifoServer", "PSServer", "PsServerBank", "ps_departure_times"]
+__all__ = [
+    "FifoServer",
+    "PSServer",
+    "PsServerBank",
+    "ps_departure_times",
+    "ps_serve_segments",
+]
 
 
 class FifoServer:
@@ -196,14 +210,148 @@ class PsServerBank:
         return t, c
 
 
+#: live-server count at or below which the lockstep sweep hands the
+#: remaining servers to the scalar loop: a lockstep step is ~40 small
+#: NumPy calls, which costs about as much as this many scalar events
+_LOCKSTEP_MIN_ARCS = 64
+
+
+def ps_serve_segments(
+    times: np.ndarray,
+    thr: np.ndarray,
+    head: np.ndarray,
+    first: np.ndarray,
+    end: np.ndarray,
+    S: np.ndarray,
+    now: np.ndarray,
+    work: np.ndarray,
+    watermark: float = math.inf,
+) -> np.ndarray:
+    """Run many deterministic PS servers at once, one event per step.
+
+    Rows are customers, grouped contiguously per server (*segment*) in
+    arrival order.  Segment ``j`` owns rows ``head[j]:end[j]``: rows
+    ``head[j]:first[j]`` are already in service with their departure
+    thresholds in *thr*, and rows ``first[j]:end[j]`` arrive at
+    ``times`` (ascending within the segment, all at or before the
+    *watermark*).  ``S[j]`` and ``now[j]`` are the server's fair-share
+    integral and clock, and every customer of segment ``j`` carries
+    ``work[j]``.
+
+    Every server advances through all its arrivals and every departure
+    due at or before the *watermark*.  *thr* (rows ``first:end``, which
+    must hold finite placeholders such as zeros on entry), *S*, *now*
+    and *head* are updated in place, so ``head[j]:end[j]`` are
+    the customers still in service afterwards and a later call
+    continues the same sample path.  Returns the departure epoch of
+    every row that departed; other rows are undefined.
+
+    Equal work per customer makes thresholds non-decreasing in arrival
+    order, so each server's heap collapses to the FIFO run of its rows
+    and its state to ``(S, now, head)``.  Each step advances every live
+    server by one event with :class:`PSServer`'s float operations in
+    its order (an arrival goes first only if strictly earlier than the
+    next departure; a departure snaps ``S`` to its threshold), so
+    departures are bit-identical to the per-object server.  Once at
+    most ``_LOCKSTEP_MIN_ARCS`` servers are live, a scalar loop
+    finishes them from the same state.
+    """
+    n_rows = times.shape[0]
+    dep = np.empty(n_rows)
+    if n_rows and not ((times >= 0.0).all() and times.max() < math.inf):
+        raise ValueError("arrival epochs must be finite and >= 0")
+    live = np.flatnonzero(end > head)
+    h, i, e = head[live], first[live], end[live]
+    s, c, w = S[live], now[live], work[live]
+    while live.shape[0] > _LOCKSTEP_MIN_ARCS:
+        k = i - h
+        ti = times.take(i, mode="clip")
+        th = thr.take(h, mode="clip")
+        nxt = c + (th - s) * k
+        arrive = (i < e) & ((k == 0) | (ti < nxt))
+        depart = ~arrive & (k > 0) & (nxt <= watermark)
+        step = arrive | depart
+        if not step.all():
+            idle = ~step
+            head[live[idle]] = h[idle]
+            S[live[idle]] = s[idle]
+            now[live[idle]] = c[idle]
+            live = live[step]
+            h, i, e, s, c, w = h[step], i[step], e[step], s[step], c[step], w[step]
+            if live.shape[0] <= _LOCKSTEP_MIN_ARCS:
+                break
+            k, ti, th, nxt = k[step], ti[step], th[step], nxt[step]
+            arrive, depart = arrive[step], depart[step]
+        s_in = np.where(k > 0, s + (ti - c) / np.maximum(k, 1), s)
+        thr[i[arrive]] = s_in[arrive] + w[arrive]
+        dep[h[depart]] = nxt[depart]
+        t_ev = np.where(arrive, ti, nxt)
+        s = np.where(arrive, s_in, th)
+        c = np.where(t_ev > c, t_ev, c)
+        i = i + arrive
+        h = h + depart
+    for j in range(live.shape[0]):
+        a = live[j]
+        head[a], S[a], now[a] = _ps_scalar(
+            times, thr, dep, int(h[j]), int(i[j]), int(e[j]),
+            float(s[j]), float(c[j]), float(w[j]), watermark,
+        )
+    return dep
+
+
+def _ps_scalar(
+    times: np.ndarray,
+    thr: np.ndarray,
+    dep: np.ndarray,
+    h: int,
+    i: int,
+    e: int,
+    s: float,
+    c: float,
+    w: float,
+    watermark: float,
+) -> Tuple[int, float, float]:
+    """One segment of :func:`ps_serve_segments`, one event at a time:
+    the same float operations on Python floats.  Returns the segment's
+    final ``(head, S, now)``."""
+    off = i - h
+    arrivals = times[i:e].tolist()
+    q = thr[h:e].tolist()
+    out: List[float] = []
+    hq, iq, m = 0, off, e - h
+    while True:
+        k = iq - hq
+        nxt = c + (q[hq] - s) * k if k else math.inf
+        if iq < m and (not k or arrivals[iq - off] < nxt):
+            t = arrivals[iq - off]
+            if k:
+                s += (t - c) / k
+            if t > c:
+                c = t
+            q[iq] = s + w
+            iq += 1
+        elif k and nxt <= watermark:
+            out.append(nxt)
+            s = q[hq]
+            if nxt > c:
+                c = nxt
+            hq += 1
+        else:
+            break
+    dep[h : h + hq] = out
+    thr[h:e] = q
+    return h + hq, s, c
+
+
 def ps_departure_times(
     arrivals: np.ndarray, work: float = 1.0
 ) -> np.ndarray:
     """Offline departure times of a deterministic PS server.
 
-    *arrivals* must be sorted ascending; all customers carry the same
-    *work* (the paper's unit packets), so departures preserve arrival
-    order and ``out[i]`` is the departure of arrival ``i``.
+    *arrivals* must be finite, non-negative and sorted ascending; all
+    customers carry the same *work* (the paper's unit packets), so
+    departures preserve arrival order and ``out[i]`` is the departure
+    of arrival ``i``.  One segment of :func:`ps_serve_segments`.
 
     Lemma 7 guarantees ``fifo_departure_times(a) <= ps_departure_times(a)``
     elementwise — property-tested in the suite.
@@ -211,18 +359,13 @@ def ps_departure_times(
     t = np.asarray(arrivals, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"arrivals must be 1-D, got shape {t.shape}")
-    if t.shape[0] and np.any(np.diff(t) < 0):
-        raise ValueError("arrivals must be sorted ascending")
-    server = PSServer()
-    out = np.empty(t.shape[0])
-    i = 0
+    if not work > 0.0:
+        raise ValueError(f"work must be > 0, got {work}")
     n = t.shape[0]
-    while i < n or server.num_active:
-        nxt = server.next_departure_time()
-        if i < n and (nxt is None or t[i] < nxt):
-            server.arrive(t[i], customer_id=i, work=work)
-            i += 1
-        else:
-            dep, cid = server.pop_departure()
-            out[cid] = dep
-    return out
+    if n and np.any(np.diff(t) < 0):
+        raise ValueError("arrivals must be sorted ascending")
+    zero = np.zeros(1, dtype=np.int64)
+    return ps_serve_segments(
+        t, np.zeros(n), zero, zero.copy(), np.array([n]),
+        np.zeros(1), np.zeros(1), np.array([float(work)]),
+    )

@@ -50,6 +50,43 @@ class TestServeLevelPerArcService:
         np.testing.assert_allclose(np.sort(dep), [2.0, 4.0, 6.0])
 
 
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    @pytest.mark.parametrize(
+        "service",
+        [
+            np.array([-1.0, 0.0]),
+            np.array([1.0, 0.0]),
+            np.array([1.0, np.nan]),
+            np.array([np.inf, 1.0]),
+        ],
+    )
+    def test_rejects_invalid_per_arc_service(self, discipline, service):
+        """Regression: FIFO returned departures before their arrivals
+        (``[-1, -0.5, 1]``) for ``service=[-1, 0]``."""
+        arcs = np.array([0, 0, 1])
+        times = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError):
+            serve_level(arcs, times, np.arange(3), discipline, service)
+
+    @pytest.mark.parametrize("discipline", ["fifo", "ps"])
+    @pytest.mark.parametrize("service", [0.0, -2.0, np.nan, np.inf])
+    def test_rejects_invalid_scalar_service(self, discipline, service):
+        with pytest.raises(ValueError):
+            serve_level(
+                np.array([0]), np.array([0.0]), np.array([0]),
+                discipline, service,
+            )
+
+    def test_ps_per_arc_service(self):
+        # arc 0 at work 2: both share from t=0, depart together at 4;
+        # arc 1 alone at work 0.5
+        dep, _ = serve_level(
+            np.array([0, 1, 0]), np.zeros(3), np.arange(3), "ps",
+            np.array([2.0, 0.5]),
+        )
+        np.testing.assert_array_equal(dep, [4.0, 0.5, 4.0])
+
+
 class TestHeterogeneousMarkovian:
     def test_exit_times_reflect_services(self):
         spec = _fig2_spec()
