@@ -1,38 +1,34 @@
-"""Engine-axis baseline: the three execution paths, timed and pinned.
+"""Engine-axis baseline: the replication routes, timed and pinned.
 
 Emits ``BENCH_engines.json`` at the **repo root** pinning the
 wall-clock and memory profile of the replication fan-out for one
 32-replication hypercube-greedy measurement:
 
-* ``seed_fanout_s``   — the original per-process fan-out: one
-  replication per task, with the seed's ``serve_level`` (a Python loop
+* ``seed_fanout_s``   — the original per-replication fan-out: the
+  one-shot level sweep with the seed's ``serve_level`` (a Python loop
   over arcs, one little Lindley/PS call per arc) re-enacted verbatim.
-* ``sequential_s``    — the per-replication fan-out
-  (``measure(batch=False)``): same task structure, but every level is
-  solved by the segmented Lindley recursion with **no** per-arc loop.
-* ``batched_s``       — the batched engine path (``measure(batch=True)``,
-  jobs=1, same process): replications stacked into cache-resident
-  sub-batches, one workload-generation pass, one vectorised level loop
-  per sub-batch.  The **headline** ratio is
-  ``batched_vs_sequential = sequential_s / batched_s``.
-* ``batched_jobs4_s`` — the batched path composed with ``jobs=4``: the
-  shared-workload route (workloads generated once in the parent,
-  published to workers via a memory-mapped file, workers pinned to
-  cores with ``pin_workers``).  On a host with fewer than 4 cores the
-  column records ``"skipped_single_core"`` instead of timing pure pool
-  overhead — the ratio is only honest when ``host_cpu_cores >= 4``.
-* ``chunked_s`` + ``memory`` — the bounded-memory chunked-horizon mode
-  (``chunk_packets``): wall-clock on the pinned cell, plus tracemalloc
-  peaks of the one-shot vs chunked kernel on a long-horizon cell where
-  the horizon (not the topology) dominates the one-shot footprint.
+* ``oneshot_s``       — the same fan-out with today's ``serve_level``:
+  the one-shot sweep, every level solved by the segmented Lindley
+  recursion with **no** per-arc loop.
+* ``sequential_s``    — the per-replication task route
+  (``measure(batch=False)``), each replication streamed through the
+  chunked level sweep.
+* ``streamed_s``      — the default route (``measure``, jobs=1, same
+  process): one batch task, each replication streamed in chunks of
+  ``STREAM_CHUNK`` packets with per-arc state carried between them.
+  ``streamed_vs_oneshot`` is the one-shot time over the streamed time
+  per packet, pinned ≥ 0.9: bounded memory at no throughput cost.
+* ``memory`` — tracemalloc peaks of the one-shot vs chunked kernel on
+  a long-horizon cell where the horizon (not the topology) dominates
+  the one-shot footprint.
 * ``chunked_ps`` — the PS chunk carry on the same cell (one
-  replication): max abs deviation of the chunked fair-share
-  construction from the one-shot PS sweep, pinned ≤ 1e-9 (the engine
+  replication): max abs deviation of the default streamed fair-share
+  sweep from the one-shot PS sweep, pinned ≤ 1e-9 (the engine
   contract; the shared kernel makes it 0.0).
 * ``ps_s`` / ``fifo_s`` — the pinned cell measured once with
   Processor-Sharing servers (network Q̃, §3.3) and once with FIFO, on
-  the default batched path.  ``ps_vs_fifo`` is PS over FIFO wall time
-  per packet, pinned ≤ 3.0.
+  the default route.  ``ps_vs_fifo`` is PS over FIFO wall time per
+  packet, pinned ≤ 3.0.
 * ``event_s`` / ``event_batched_s`` — the replication-batched event
   calendar on a **sparse cyclic-scheme cell** (``random_order``: the
   server graph is cyclic, so only the event engine can run it):
@@ -43,9 +39,9 @@ wall-clock and memory profile of the replication fan-out for one
   is pinned ≥ 2.0, with per-replication results bit-identical by
   construction (asserted).
 
-Every path produces **bit-identical** measurements (asserted — the
-golden-pinned contract), so the comparison is pure wall clock.  The
-operating point is deliberately arc-rich (d=13: 8192 nodes, 106496
+Every route produces **bit-identical** replication delays (asserted —
+the golden-pinned contract), so the comparison is pure wall clock.
+The operating point is deliberately arc-rich (d=13: 8192 nodes, 106496
 arcs, short horizon): the regime of wide parameter sweeps over large
 networks.
 
@@ -65,9 +61,16 @@ from pathlib import Path
 import numpy as np
 
 import repro.sim.feedforward as _ff
+from repro.plugins.api import steady_output
 from repro.rng import as_generator, replication_seeds
 from repro.runner import ScenarioSpec, measure
+from repro.sim.feedforward import (
+    STREAM_CHUNK,
+    simulate_hypercube_greedy,
+    simulate_hypercube_greedy_chunked,
+)
 from repro.sim.lindley import fifo_departure_times
+from repro.sim.measurement import DelayRecord
 from repro.sim.servers import ps_departure_times
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,14 +82,11 @@ FULL_SPEC = dict(d=13, rho=0.7, horizon=4.0, replications=32)
 QUICK_SPEC = dict(d=10, rho=0.7, horizon=6.0, replications=16)
 
 #: bounded-memory demonstration cell: modest network, long horizon —
-#: the regime chunk_packets exists for (one-shot footprint scales with
-#: the horizon, chunked with the chunk + the topology)
+#: the regime streaming exists for (one-shot footprint scales with the
+#: horizon, chunked with the chunk + the topology)
 FULL_MEM = dict(d=10, rho=0.7, horizon=200.0)
 QUICK_MEM = dict(d=8, rho=0.7, horizon=120.0)
 MEM_CHUNK = 4096
-
-#: chunk used for the wall-clock column on the pinned cell
-TIMING_CHUNK = 32768
 
 #: sparse cyclic-scheme cell for the batched event calendar: low load
 #: and a long horizon make the per-replication calendar sparse (few
@@ -98,8 +98,7 @@ QUICK_EVENT = dict(d=4, rho=0.3, horizon=120.0, replications=16)
 REPEATS = 5  # best-of timings
 
 
-def _seed_serve_level(arcs, times, pids, discipline="fifo", service=1.0,
-                      blocks=None):
+def _seed_serve_level(arcs, times, pids, discipline="fifo", service=1.0):
     """The seed's ``serve_level`` (commit c5ecac6), frozen verbatim:
     after the (arc, time, pid) lexsort, a Python loop dispatches one
     Lindley / fair-share call **per busy arc**."""
@@ -134,6 +133,33 @@ def _best_of(fn, repeats=REPEATS):
     return best, result
 
 
+def _sample(spec):
+    """Replication 0's workload sample of *spec*."""
+    seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
+    return spec.network_plugin.build_workload(spec).generate(
+        spec.horizon, as_generator(seeds[0])
+    )
+
+
+def _oneshot_fanout(spec):
+    """Replication delays from the one-shot level sweep, one
+    replication at a time through whatever ``serve_level`` the module
+    currently binds (the seed's, for ``seed_fanout_s``)."""
+    net = spec.network_plugin
+    topology = net.build_topology(spec)
+    workload = net.build_workload(spec)
+    delays = []
+    for seed in replication_seeds(spec.base_seed, spec.replications,
+                                  spec.seed_policy):
+        sample = workload.generate(spec.horizon, as_generator(seed))
+        delivery = simulate_hypercube_greedy(
+            topology, sample, discipline=spec.discipline
+        ).delivery
+        record = DelayRecord(sample.times, delivery, sample.horizon)
+        delays.append(steady_output(spec, record).mean_delay)
+    return tuple(delays)
+
+
 def _memory_peaks(params):
     """tracemalloc peaks of the one-shot vs chunked kernel on one
     long-horizon replication (the workload itself is excluded — both
@@ -142,18 +168,16 @@ def _memory_peaks(params):
         name="bench-engines-mem", base_seed=0, seed_policy="spawn",
         replications=1, **params
     )
-    net = spec.network_plugin
-    topology = net.build_topology(spec)
-    seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
-    sample = net.build_workload(spec).generate(
-        spec.horizon, as_generator(seeds[0])
-    )
+    topology = spec.network_plugin.build_topology(spec)
+    sample = _sample(spec)
     tracemalloc.start()
-    one_shot = net.simulate_greedy(topology, spec, sample)
+    one_shot = simulate_hypercube_greedy(topology, sample).delivery
     _, peak_one = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     tracemalloc.start()
-    chunked = net.simulate_greedy_chunked(topology, spec, sample, MEM_CHUNK)
+    chunked = simulate_hypercube_greedy_chunked(
+        topology, sample, chunk_packets=MEM_CHUNK
+    )
     _, peak_chunk = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {
@@ -166,9 +190,10 @@ def _memory_peaks(params):
     }
 
 
-def _chunked_ps_agreement(params, chunk):
-    """Max abs deviation of the chunked PS carry from the one-shot PS
-    sweep on one replication of the timing cell (contract: <= 1e-9)."""
+def _chunked_ps_agreement(params):
+    """Max abs deviation of the default streamed PS sweep from the
+    one-shot PS sweep on one replication of the timing cell
+    (contract: <= 1e-9)."""
     spec = ScenarioSpec(
         name="bench-engines-ps", base_seed=0, seed_policy="spawn",
         replications=1, discipline="ps",
@@ -176,20 +201,19 @@ def _chunked_ps_agreement(params, chunk):
     )
     net = spec.network_plugin
     topology = net.build_topology(spec)
-    seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
-    sample = net.build_workload(spec).generate(
-        spec.horizon, as_generator(seeds[0])
-    )
-    one_shot = net.simulate_greedy(topology, spec, sample)
-    chunked = net.simulate_greedy_chunked(topology, spec, sample, chunk)
+    sample = _sample(spec)
+    one_shot = simulate_hypercube_greedy(
+        topology, sample, discipline="ps"
+    ).delivery
+    streamed = net.simulate_greedy(topology, spec, sample)
     err = (
-        float(np.max(np.abs(one_shot - chunked)))
+        float(np.max(np.abs(one_shot - streamed)))
         if sample.num_packets
         else 0.0
     )
     return {
         "cell": {k: v for k, v in params.items() if k != "replications"},
-        "chunk_packets": chunk,
+        "chunk_packets": STREAM_CHUNK,
         "max_abs_diff": err,
         "within_tolerance": bool(err <= 1e-9),
     }
@@ -203,27 +227,16 @@ def run_experiment(quick=False):
     modern = _ff.serve_level
     _ff.serve_level = _seed_serve_level
     try:
-        seed_s, seed_m = _best_of(lambda: measure(spec, jobs=1, batch=False))
+        seed_s, seed_delays = _best_of(lambda: _oneshot_fanout(spec))
     finally:
         _ff.serve_level = modern
+    one_s, one_delays = _best_of(lambda: _oneshot_fanout(spec))
     seq_s, seq_m = _best_of(lambda: measure(spec, jobs=1, batch=False))
-    bat_s, bat_m = _best_of(lambda: measure(spec, jobs=1, batch=True))
-    # timing the pool route on < 4 cores would measure pure pool
-    # overhead, not parallelism — skip it honestly instead
-    cores = os.cpu_count() or 1
-    jobs4_skipped = cores < 4
-    if jobs4_skipped:
-        par_s, par_m = None, None
-    else:
-        par_s, par_m = _best_of(
-            lambda: measure(spec, jobs=4, batch=True, pin_workers=True)
-        )
+    str_s, str_m = _best_of(lambda: measure(spec, jobs=1))
     ps_s, ps_m = _best_of(
-        lambda: measure(spec.replace(discipline="ps"), jobs=1, batch=True)
+        lambda: measure(spec.replace(discipline="ps"), jobs=1)
     )
-    ps_vs_fifo = (ps_s / ps_m.num_packets) / (bat_s / bat_m.num_packets)
-    chunk_spec = spec.replace(extra={"chunk_packets": TIMING_CHUNK})
-    chk_s, chk_m = _best_of(lambda: measure(chunk_spec, jobs=1, batch=True))
+    ps_vs_fifo = (ps_s / ps_m.num_packets) / (str_s / str_m.num_packets)
 
     event_params = QUICK_EVENT if quick else FULL_EVENT
     event_spec = ScenarioSpec(
@@ -233,12 +246,11 @@ def run_experiment(quick=False):
     ev_s, ev_m = _best_of(lambda: measure(event_spec, jobs=1, batch=False))
     evb_s, evb_m = _best_of(lambda: measure(event_spec, jobs=1, batch=True))
 
-    bit_identical = seed_m == seq_m == bat_m and (
-        par_m is None or par_m == bat_m
+    bit_identical = (
+        seed_delays == one_delays == seq_m.replication_delays
+        and seq_m == str_m
     )
-    chunked_identical = (
-        chk_m.replication_delays == seq_m.replication_delays
-    )
+    streamed_identical = str_m.replication_delays == one_delays
     # the batched outputs equal the sequential golden values per
     # replication, not merely in the pooled mean
     seeds = replication_seeds(spec.base_seed, spec.replications,
@@ -250,7 +262,7 @@ def run_experiment(quick=False):
 
     return {
         "mode": "quick" if quick else "full",
-        "host_cpu_cores": cores,
+        "host_cpu_cores": os.cpu_count() or 1,
         "spec": {
             "network": spec.network,
             "scheme": spec.scheme,
@@ -262,29 +274,23 @@ def run_experiment(quick=False):
             "replications": spec.replications,
             "seed_policy": spec.seed_policy,
         },
-        "num_packets": bat_m.num_packets,
-        "mean_delay": bat_m.mean_delay,
+        "num_packets": str_m.num_packets,
+        "mean_delay": str_m.mean_delay,
         "seed_fanout_s": round(seed_s, 4),
+        "oneshot_s": round(one_s, 4),
         "sequential_s": round(seq_s, 4),
-        "batched_s": round(bat_s, 4),
-        "batched_jobs4_s": (
-            "skipped_single_core" if jobs4_skipped else round(par_s, 4)
-        ),
-        "batched_jobs4_pin_workers": not jobs4_skipped,
-        "chunked_s": round(chk_s, 4),
-        "chunked_chunk_packets": TIMING_CHUNK,
-        "speedup_vs_seed": round(seed_s / bat_s, 2),
+        "streamed_s": round(str_s, 4),
+        "stream_chunk_packets": STREAM_CHUNK,
+        "speedup_vs_seed": round(seed_s / str_s, 2),
         "speedup_sequential_vs_seed": round(seed_s / seq_s, 2),
-        "batched_vs_sequential": round(seq_s / bat_s, 2),
-        "batched_jobs4_vs_batched": (
-            "skipped_single_core" if jobs4_skipped else round(bat_s / par_s, 2)
-        ),
-        "chunked_vs_sequential": round(seq_s / chk_s, 2),
+        # both routes solve the same packets, so the per-packet ratio
+        # is the wall-time ratio
+        "streamed_vs_oneshot": round(one_s / str_s, 2),
         "ps_s": round(ps_s, 4),
-        "fifo_s": round(bat_s, 4),
+        "fifo_s": round(str_s, 4),
         "ps_vs_fifo": round(ps_vs_fifo, 2),
         "bit_identical": bool(bit_identical),
-        "chunked_bit_identical": bool(chunked_identical),
+        "chunked_bit_identical": bool(streamed_identical),
         "per_replication_bit_identical": bool(per_rep_identical),
         "event_spec": {
             "network": event_spec.network,
@@ -302,20 +308,20 @@ def run_experiment(quick=False):
         "event_batched_vs_event": round(ev_s / evb_s, 2),
         "event_bit_identical": bool(ev_m == evb_m),
         "memory": _memory_peaks(QUICK_MEM if quick else FULL_MEM),
-        "chunked_ps": _chunked_ps_agreement(params, TIMING_CHUNK),
+        "chunked_ps": _chunked_ps_agreement(params),
     }
 
 
 def emit_json(results):
     path = ROOT / "BENCH_engines.json"
     payload = {
-        "description": "the three replication fan-out routes on one "
-        "hypercube-greedy cell: sequential per-replication tasks, the "
-        "cache-resident sub-batched engine path (jobs=1, same process "
-        "-- the headline batched_vs_sequential ratio), and the "
-        "shared-workload parallel composition (jobs=4); plus the "
-        "bounded-memory chunked-horizon mode, PS vs FIFO per packet on "
-        "the same cell, and the seed's per-arc "
+        "description": "the replication routes on one hypercube-greedy "
+        "cell: the one-shot level sweep per replication, per-replication "
+        "tasks and the default batch task (jobs=1, same process), both "
+        "streaming each replication in chunks with per-arc carried state "
+        "(the streamed_vs_oneshot ratio); plus the bounded-memory "
+        "footprint of the chunked kernel, PS vs FIFO per packet on the "
+        "same cell, the batched event calendar, and the seed's per-arc "
         "serve_level re-enacted verbatim as the historical baseline",
         **results,
     }
@@ -354,13 +360,11 @@ if __name__ == "__main__":
     ):
         sys.exit("FAIL: execution paths are not bit-identical")
     if not results["chunked_ps"]["within_tolerance"]:
-        sys.exit("FAIL: chunked PS deviates > 1e-9 from the one-shot sweep")
+        sys.exit("FAIL: streamed PS deviates > 1e-9 from the one-shot sweep")
     if not quick and results["speedup_vs_seed"] < 3.0:
-        sys.exit("FAIL: batched path is not >= 3x the seed fan-out")
-    if not quick and results["batched_vs_sequential"] < 1.0:
-        sys.exit("FAIL: batched path is slower than sequential fan-out")
-    if not quick and results["chunked_vs_sequential"] < 0.9:
-        sys.exit("FAIL: chunked-horizon overhead regressed below 0.9x")
+        sys.exit("FAIL: default route is not >= 3x the seed fan-out")
+    if not quick and results["streamed_vs_oneshot"] < 0.9:
+        sys.exit("FAIL: streamed sweep regressed below 0.9x the one-shot")
     if not quick and results["event_batched_vs_event"] < 2.0:
         sys.exit("FAIL: batched event calendar is not >= 2x sequential")
     if not quick and results["ps_vs_fifo"] > 3.0:

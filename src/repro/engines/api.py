@@ -18,20 +18,17 @@ implements the hooks the rest of the stack used to hard-code behind
 * :meth:`~EnginePlugin.run_paths` — the lower-level contract shared by
   the event calendar and the fixed-point solver: packets following
   explicit precomputed arc paths;
-* :meth:`~EnginePlugin.simulate_batch` — the replication-batched fast
-  path: R replications' workloads stacked into **one** vectorised
-  computation (offsetting arc ids per replication keeps the
-  sub-systems disjoint, so the batch is bit-identical to R sequential
-  runs).  :func:`repro.runner.engine.measure_many` routes through this
-  hook whenever the resolved engine declares ``batching``; at
-  ``jobs > 1`` it decomposes the template instead — workloads are
-  generated once centrally and each worker calls
-  :meth:`~EnginePlugin.batch_deliveries` + :func:`batch_output` on a
-  shared-memory slice (the scheme's ``batch_engine`` hook exposes the
-  engine for exactly this).  How an engine *internally* organises a
-  batch is its own affair: the feed-forward engine stacks replications
-  in cache-resident sub-batches and streams chunk-composable kernels
-  under its ``chunk_packets`` option.
+* :meth:`~EnginePlugin.simulate_batch` — the replication-batched
+  path: R replications' workloads drawn in one
+  ``build_workload_batch`` pass and solved by
+  :meth:`~EnginePlugin.batch_deliveries`, bit-identical to R
+  sequential runs.  :func:`repro.runner.engine.measure_many` routes
+  through this hook whenever the resolved engine declares
+  ``batching`` (at ``jobs > 1``, one batch per worker).  How an engine
+  organises a batch is its own affair: the event and fixed-point
+  engines stack replications into one arc-offset system, while the
+  feed-forward engine keeps the default one streamed sweep per
+  replication.
 
 Like the scheme and network APIs, this module is dependency-light (no
 numpy import at runtime, no simulator imports) so plugin modules can
@@ -77,10 +74,11 @@ class EngineCapabilities:
     paths (event, fixed-point), which therefore drives every network —
     third-party ones included.
 
-    ``batching`` declares the replication-batched fast path:
-    :meth:`EnginePlugin.simulate_batch` stacks R replications into one
-    vectorised computation, and the parallel runner routes through it
-    instead of the one-process-one-replication pool.
+    ``batching`` declares the replication-batched path:
+    :meth:`EnginePlugin.simulate_batch` runs R replications as one
+    task (one workload-generation pass, then
+    :meth:`EnginePlugin.batch_deliveries`), and the parallel runner
+    routes through it instead of the one-process-one-replication pool.
     """
 
     kind: str
@@ -180,7 +178,7 @@ class EnginePlugin:
         self, spec: "ScenarioSpec", seeds: Sequence["SeedLike"]
     ) -> List["ReplicationOutput"]:
         """One :class:`~repro.sim.run_spec.ReplicationOutput` per seed,
-        computed as a single stacked computation.
+        computed as a single batch.
 
         The contract is strict: entry *k* must be **bit-identical** to
         ``run_spec(spec, seeds[k])`` — same workload draw from the
@@ -194,7 +192,7 @@ class EnginePlugin:
         the sequential runner's order, generated through the network's
         :meth:`~repro.networks.api.NetworkPlugin.build_workload_batch`
         so the traffic plugin can amortise across the batch) and the
-        shared epilogue; a batching engine implements only
+        shared epilogue; a batching engine overrides at most
         :meth:`batch_deliveries`.
         """
         from repro.rng import as_generator
@@ -216,11 +214,12 @@ class EnginePlugin:
         topology: "Topology",
         samples: List["TrafficSample"],
     ) -> List["np.ndarray"]:
-        """Delivery epochs of R independent samples as one stacked
-        computation (entry *r* bit-identical to
-        ``simulate(spec, topology, samples[r])``); the hook engines
-        declaring ``batching`` implement."""
-        raise NotImplementedError  # pragma: no cover - protocol
+        """Delivery epochs of R independent samples, entry *r*
+        bit-identical to ``simulate(spec, topology, samples[r])``.
+
+        Default: one :meth:`simulate` call per sample; engines that
+        can stack replications into one computation override it."""
+        return [self.simulate(spec, topology, sample) for sample in samples]
 
     # -- cosmetics -----------------------------------------------------------
 
@@ -231,7 +230,7 @@ class EnginePlugin:
 def batch_output(
     spec: "ScenarioSpec", sample: "TrafficSample", delivery: "np.ndarray"
 ) -> "ReplicationOutput":
-    """The batched replication epilogue: one stacked replication's
+    """The batched replication epilogue: one batched replication's
     delivery array through the **same** trim-and-wrap code the
     sequential runner uses (:func:`repro.plugins.api.steady_output`),
     minus the per-packet record (as the pooled path drops it)."""

@@ -8,46 +8,27 @@ server, all servers of a level in one vectorised shot
 (:func:`repro.sim.feedforward.serve_level`).
 
 The engine drives a network through its native level-sweep kernel
-(:meth:`~repro.networks.api.NetworkPlugin.simulate_greedy` — the
-XOR-algebra sweep on the hypercube, the one-arc-per-level sweep on the
-butterfly), so it only supports networks that declare it native; the
-fixed-point engine covers everything else.
+(:meth:`~repro.networks.api.NetworkPlugin.simulate_greedy`), so it only
+supports networks that declare it native; the fixed-point engine
+covers everything else.  The hypercube and butterfly kernels stream
+each replication in birth-ordered chunks with per-arc queue state
+carried between chunks (:data:`repro.sim.feedforward.STREAM_CHUNK`
+packets each), so peak memory is bounded by the topology instead of
+the horizon, and the result is bit-identical to the one-shot sweep
+(tested) for FIFO and PS alike.
 
-**Batching** is where the level sweep pays twice: R replications'
-workload arrays stack into one set of parallel arrays (arc ids offset
-by ``replication * num_arcs`` keep the R sub-systems disjoint), and the
-d-level loop runs **once** for the whole batch.  Profiling showed the
-naive all-R stack *loses* to R sequential runs on arc-rich cells: the
-per-level sort cost is identical either way (the blockwise sorts do
-exactly the R standalone sorts), so what remains is pure overhead —
-full-size gather/scatter passes over stacked arrays that fall out of
-cache.  The engine therefore stacks replications in **sub-batches**
-sized so one level's rows stay cache-resident (the ``batch_reps``
-option pins the size for benchmarking), which keeps the amortisation
-of the level loop while restoring cache locality.  Each replication's
-sub-path is bit-identical to its sequential run (golden-pinned)
-whatever the sub-batch size, because every per-arc arrival sequence is
-unchanged.
-
-**Chunked-horizon mode** (the ``chunk_packets`` option) streams each
-replication through the network's chunk-composable kernel
-(:meth:`~repro.networks.api.NetworkPlugin.simulate_greedy_chunked`):
-packets are processed in birth-ordered chunks with per-arc queue state
-carried between chunks, so peak memory is bounded by the chunk size
-and the topology instead of the horizon — the d ≥ 20 regime.  FIFO
-carries (count, running-Lindley-max) per arc and is bit-identical to
-the one-shot path (tested); PS carries each arc's fair-share state and
-in-service packets and resumes the one-shot sweep's kernel from them,
-so it is bit-identical too (tested; the engine contract is ≤ 1e-9).
+The engine declares ``batching``: a batch is one streamed sweep per
+replication through the base class's
+:meth:`~repro.engines.api.EnginePlugin.batch_deliveries`, which keeps
+the golden batch-route checks running on it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING
 
 from repro.engines.api import EngineCapabilities, EnginePlugin
 from repro.engines.registry import register_engine
-from repro.plugins.api import OptionSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -57,11 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traffic.workload import TrafficSample
 
 __all__ = ["FeedForwardEngine"]
-
-#: per-level row budget a sub-batch should stay under: small enough
-#: that one level's sort + Lindley arrays live in cache, large enough
-#: to amortise the per-level Python overhead across replications
-_TARGET_LEVEL_ROWS = 16384
 
 
 @register_engine
@@ -77,25 +53,6 @@ class FeedForwardEngine(EnginePlugin):
         # kernel (NetworkPlugin.native_engine) can ride this engine
         networks=("*",),
         batching=True,
-        options=(
-            OptionSpec(
-                "chunk_packets",
-                kind="int",
-                description="stream each replication in birth-ordered "
-                "chunks of this many packets with per-arc queue state "
-                "carried between chunks: peak memory bounded by the "
-                "chunk and the topology instead of the horizon "
-                "(FIFO is bit-identical to the one-shot sweep; PS "
-                "carries in-service packets and agrees to <=1e-9)",
-            ),
-            OptionSpec(
-                "batch_reps",
-                kind="int",
-                description="replications stacked per sub-batch on the "
-                "batched path (default: sized so one level's rows stay "
-                "cache-resident)",
-            ),
-        ),
     )
 
     def supports(self, spec: "ScenarioSpec"):
@@ -116,52 +73,4 @@ class FeedForwardEngine(EnginePlugin):
         topology: "Topology",
         sample: "TrafficSample",
     ) -> "np.ndarray":
-        chunk = spec.option("chunk_packets")
-        if chunk is not None:
-            return spec.network_plugin.simulate_greedy_chunked(
-                topology, spec, sample, int(chunk)
-            )
         return spec.network_plugin.simulate_greedy(topology, spec, sample)
-
-    @staticmethod
-    def _sub_batch_reps(spec: "ScenarioSpec", samples: List["TrafficSample"]) -> int:
-        """How many replications to stack per sub-batch.
-
-        A level of one replication touches roughly half its packets
-        (popcount of a uniform mask), so ``mean_packets / 2`` rows; the
-        sub-batch stacks as many replications as keep a level under
-        :data:`_TARGET_LEVEL_ROWS` rows.  Profiled on arc-rich cells:
-        the all-R stack's full-size passes fall out of cache and lose
-        to sequential runs, while cache-resident sub-batches win.
-        """
-        forced = spec.option("batch_reps")
-        if forced is not None:
-            return max(1, int(forced))
-        mean_packets = sum(s.num_packets for s in samples) / max(len(samples), 1)
-        rows_per_level = max(1, int(mean_packets) // 2)
-        return max(1, _TARGET_LEVEL_ROWS // rows_per_level)
-
-    def batch_deliveries(
-        self,
-        spec: "ScenarioSpec",
-        topology: "Topology",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        net = spec.network_plugin
-        chunk = spec.option("chunk_packets")
-        if chunk is not None:
-            # bounded memory beats batched throughput by definition
-            # here: stream the replications one by one
-            return [
-                net.simulate_greedy_chunked(topology, spec, s, int(chunk))
-                for s in samples
-            ]
-        reps = self._sub_batch_reps(spec, samples)
-        if reps >= len(samples):
-            return net.simulate_greedy_batch(topology, spec, samples)
-        deliveries: List["np.ndarray"] = []
-        for lo in range(0, len(samples), reps):
-            deliveries.extend(
-                net.simulate_greedy_batch(topology, spec, samples[lo : lo + reps])
-            )
-        return deliveries

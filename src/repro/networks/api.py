@@ -199,7 +199,8 @@ class NetworkPlugin:
         Default: the fixed-point solver over :meth:`greedy_paths` —
         correct for *any* topology (that is all the ring and torus
         plugins use).  Levelled networks override this with their
-        one-pass feed-forward level-sweep kernel, which also flips
+        feed-forward level-sweep kernel (the hypercube and butterfly
+        stream it in birth-ordered chunks), which also flips
         :meth:`native_engine` to the ``feedforward`` engine plugin.
         """
         from repro.sim.fixedpoint import simulate_paths_fixed_point
@@ -210,48 +211,6 @@ class NetworkPlugin:
             self.greedy_paths(topology, spec, sample),
             discipline=spec.discipline,
         ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Topology",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        """Delivery epochs of R independent samples (the
-        ``feedforward`` engine's replication-batched fast path).
-
-        Entry *r* must be **bit-identical** to
-        ``simulate_greedy(topology, spec, samples[r])``.  Default: a
-        plain per-sample loop (correct everywhere, vectorised nowhere);
-        the hypercube and butterfly override it with stacked kernels
-        that run the whole batch through one level sweep.
-        """
-        return [self.simulate_greedy(topology, spec, s) for s in samples]
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Topology",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
-        """Delivery epochs of *sample*, computed in birth-ordered
-        chunks of at most ``chunk_packets`` packets with per-arc queue
-        state carried between chunks (the ``feedforward`` engine's
-        streaming bounded-memory mode).
-
-        The contract is strict: the result must be **bit-identical** to
-        :meth:`simulate_greedy`, with peak memory bounded by the chunk
-        size and the topology instead of the horizon.  Default: the
-        network ships no chunk-composable kernel.
-        """
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"network {self.name!r} ships no chunked-horizon greedy "
-            "kernel (NetworkPlugin.simulate_greedy_chunked); drop the "
-            "chunk_packets option for this network"
-        )
 
     # -- theory --------------------------------------------------------------
 

@@ -73,38 +73,13 @@ class ButterflyNetwork(NetworkPlugin):
     def simulate_greedy(
         self, topology: "Butterfly", spec: "ScenarioSpec", sample: "TrafficSample"
     ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_butterfly_greedy
-
-        return simulate_butterfly_greedy(
-            topology, sample, discipline=spec.discipline
-        ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Butterfly",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        from repro.sim.feedforward import simulate_butterfly_greedy_batch
-
-        return simulate_butterfly_greedy_batch(
-            topology, samples, discipline=spec.discipline
-        )
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Butterfly",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
+        """The level sweep, streamed in birth-ordered chunks (bit-
+        identical to the one-shot sweep, memory bounded by the
+        topology whatever the horizon)."""
         from repro.sim.feedforward import simulate_butterfly_greedy_chunked
 
         return simulate_butterfly_greedy_chunked(
-            topology,
-            sample,
-            chunk_packets=chunk_packets,
-            discipline=spec.discipline,
+            topology, sample, discipline=spec.discipline
         )
 
     # -- theory --------------------------------------------------------------

@@ -83,46 +83,15 @@ class HypercubeNetwork(NetworkPlugin):
     def simulate_greedy(
         self, topology: "Hypercube", spec: "ScenarioSpec", sample: "TrafficSample"
     ) -> "np.ndarray":
-        from repro.sim.feedforward import simulate_hypercube_greedy
-
-        dim_order = spec.option("dim_order")
-        return simulate_hypercube_greedy(
-            topology,
-            sample,
-            discipline=spec.discipline,
-            dim_order=None if dim_order is None else list(dim_order),
-        ).delivery
-
-    def simulate_greedy_batch(
-        self,
-        topology: "Hypercube",
-        spec: "ScenarioSpec",
-        samples: List["TrafficSample"],
-    ) -> List["np.ndarray"]:
-        from repro.sim.feedforward import simulate_hypercube_greedy_batch
-
-        dim_order = spec.option("dim_order")
-        return simulate_hypercube_greedy_batch(
-            topology,
-            samples,
-            discipline=spec.discipline,
-            dim_order=None if dim_order is None else list(dim_order),
-        )
-
-    def simulate_greedy_chunked(
-        self,
-        topology: "Hypercube",
-        spec: "ScenarioSpec",
-        sample: "TrafficSample",
-        chunk_packets: int,
-    ) -> "np.ndarray":
+        """The level sweep, streamed in birth-ordered chunks (bit-
+        identical to the one-shot sweep, memory bounded by the
+        topology whatever the horizon)."""
         from repro.sim.feedforward import simulate_hypercube_greedy_chunked
 
         dim_order = spec.option("dim_order")
         return simulate_hypercube_greedy_chunked(
             topology,
             sample,
-            chunk_packets=chunk_packets,
             discipline=spec.discipline,
             dim_order=None if dim_order is None else list(dim_order),
         )

@@ -265,8 +265,7 @@ class SchemePlugin:
     ) -> Optional[Callable[[Sequence[Any]], list]]:
         """A callable mapping replication seeds to their
         :class:`~repro.sim.run_spec.ReplicationOutput` list as **one**
-        stacked computation, or ``None`` when the scheme cannot batch
-        (the default).
+        task, or ``None`` when the scheme cannot batch (the default).
 
         The contract matches :meth:`prepare` seed for seed: entry *k*
         of the batch must be bit-identical to running the prepared
@@ -275,21 +274,6 @@ class SchemePlugin:
         replications through this hook whenever it returns a runner —
         in process for small batches, chunked across the pool for
         large ones.
-        """
-        return None
-
-    def batch_engine(self, spec: "ScenarioSpec") -> Optional[Any]:
-        """The batching-capable :class:`~repro.engines.api.EnginePlugin`
-        behind :meth:`batch_runner`, or ``None`` when the scheme cannot
-        batch or owns its batch loop opaquely (the default).
-
-        Exposing the engine — not just the sealed runner closure — lets
-        the parallel runner *decompose* a batch: generate all R
-        workloads once in the parent (one vectorised
-        ``build_workload_batch`` pass), publish the arrays to workers
-        through shared memory, and have each worker call the engine's
-        ``batch_deliveries``/``batch_output`` on its slice.  The
-        bit-identity contract is :meth:`batch_runner`'s, seed for seed.
         """
         return None
 

@@ -15,10 +15,11 @@ replication stream *before* the engine runs, so forcing the engine
 never changes which packets exist — only how their contention is
 resolved (identically, up to float round-off).
 
-The scheme also exposes the replication-batched fast path: when the
+The scheme also exposes the replication-batched path: when the
 resolved engine declares batching, :meth:`GreedyPlugin.batch_runner`
-hands the parallel runner a closure that stacks R replications into
-one vectorised computation (bit-identical to R sequential runs).
+hands the parallel runner a closure that runs R replications through
+the engine's :meth:`~repro.engines.api.EnginePlugin.simulate_batch`
+(bit-identical to R sequential runs).
 """
 
 from __future__ import annotations
@@ -113,16 +114,10 @@ class GreedyPlugin(SchemePlugin):
 
         return run
 
-    def batch_engine(self, spec: "ScenarioSpec"):
+    def batch_runner(self, spec: "ScenarioSpec"):
         from repro.engines.registry import resolve_engine
 
         engine = resolve_engine(spec)
         if engine is None or not engine.supports_batch(spec):
-            return None
-        return engine
-
-    def batch_runner(self, spec: "ScenarioSpec"):
-        engine = self.batch_engine(spec)
-        if engine is None:
             return None
         return lambda seeds: engine.simulate_batch(spec, seeds)

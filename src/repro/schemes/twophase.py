@@ -267,11 +267,8 @@ class TwoPhasePlugin(SchemePlugin):
         intermediates, then the R path sets run as one arc-offset
         batch.  The ``mean_hops`` side metric is recomputed per
         replication from the flat paths — bit-identical to the
-        sequential ``TwoPhaseResult.mean_hops``.  ``batch_engine``
-        stays ``None``: the intermediates draw follows the workload on
-        the replication stream, which the shared-workload shm route
-        (samples only, no generator state) cannot replay; ``jobs > 1``
-        composes through chunked batch tasks instead.
+        sequential ``TwoPhaseResult.mean_hops``.  At ``jobs > 1`` the
+        runner splits the seeds into one contiguous batch per worker.
         """
         from repro.sim.eventsim import simulate_paths_event_driven_batch
         from repro.sim.run_spec import ReplicationOutput

@@ -9,14 +9,19 @@ level-``l`` server is known, and each server is solved in one shot —
 FIFO by the closed-form Lindley recursion
 (:func:`repro.sim.lindley.fifo_departure_times`), PS by the exact
 fair-share construction, every server of a level at once
-(:func:`repro.sim.servers.ps_serve_segments`).
+(:func:`repro.sim.servers.ps_serve_segments`).  :func:`serve_level` is
+the one entry point every levelled sweep, the fixed-point solver and
+the Markovian network mode share.
 
 Two front ends:
 
 * :func:`simulate_hypercube_greedy` / :func:`simulate_butterfly_greedy`
   — *packet mode*: route actual packets of a
   :class:`~repro.traffic.workload.TrafficSample` along their canonical
-  paths (the physical system of the paper);
+  paths (the physical system of the paper), with an optional per-hop
+  arc log; their ``*_chunked`` twins stream the same sweep in
+  birth-ordered chunks with per-arc state carried between them,
+  bit-identical and bounded in memory by the topology;
 * :func:`simulate_markovian` — *network mode*: simulate a levelled
   network spec with Markovian routing decisions (networks Q/R and the
   Fig. 2 example), with optional **decision coupling** for the
@@ -50,8 +55,6 @@ __all__ = [
     "serve_level",
     "simulate_hypercube_greedy",
     "simulate_butterfly_greedy",
-    "simulate_hypercube_greedy_batch",
-    "simulate_butterfly_greedy_batch",
     "simulate_hypercube_greedy_chunked",
     "simulate_butterfly_greedy_chunked",
     "simulate_markovian",
@@ -117,47 +120,84 @@ class MarkovianResult:
     decisions: Optional[Dict[int, np.ndarray]]
 
 
-def _running_max_inplace(out: np.ndarray, pos: np.ndarray) -> None:
-    """Hillis–Steele doubling scan over one contiguous run, in place."""
+def _segmented_running_max(values: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Per-segment prefix maximum of *values*, in place (Hillis–Steele
+    doubling); returns *values*.
+
+    ``pos`` gives each element's 0-based index within its (contiguous)
+    segment.  Equivalent to ``np.maximum.accumulate`` applied segment
+    by segment — bit-identical, since ``max`` selects one of its
+    operands — but with O(log max-segment-length) vectorised rounds
+    instead of a Python loop over segments.
+    """
     max_pos = int(pos.max()) if pos.shape[0] else 0
     shift = 1
     while shift <= max_pos:
         # element i's in-segment predecessor at distance `shift` is
         # i - shift iff pos[i] >= shift (segments are contiguous);
         # np.where materialises last round's values before the write
-        candidate = np.where(pos[shift:] >= shift, out[:-shift], -np.inf)
-        np.maximum(out[shift:], candidate, out=out[shift:])
+        candidate = np.where(pos[shift:] >= shift, values[:-shift], -np.inf)
+        np.maximum(values[shift:], candidate, out=values[shift:])
         shift <<= 1
+    return values
 
 
-def _segmented_running_max(
-    values: np.ndarray,
-    pos: np.ndarray,
-    blocks: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-segment prefix maximum of *values* (Hillis–Steele doubling).
+class _ArcCarry:
+    """Dense per-arc FIFO Lindley state carried across horizon chunks.
 
-    ``pos`` gives each element's 0-based index within its (contiguous)
-    segment.  Equivalent to ``np.maximum.accumulate`` applied segment
-    by segment — bit-identical, since ``max`` selects one of its
-    operands — but with O(log max-segment-length) vectorised rounds
-    instead of a Python loop over segments.  ``blocks`` (boundaries of
-    independent row runs, as in :func:`serve_level`) keeps each
-    doubling scan cache-resident on large stacked batches; the scans
-    run in place on views of the output, so a block costs no copies
-    beyond the single upfront one.
+    ``counts[a]`` is how many arrivals arc *a* has served so far and
+    ``run[a]`` the running maximum of ``t_j - s*j`` over them — the
+    prefix state of :func:`serve_level`'s closed form.  Memory is
+    O(num_arcs): topology-bounded, independent of the horizon.
     """
-    out = values.copy()
-    n = out.shape[0]
-    if n == 0:
-        return out
-    if blocks is not None and len(blocks) > 2:
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
-            if hi > lo:
-                _running_max_inplace(out[lo:hi], pos[lo:hi])
-        return out
-    _running_max_inplace(out, pos)
-    return out
+
+    __slots__ = ("counts", "run")
+
+    def __init__(self, num_arcs: int) -> None:
+        self.counts = np.zeros(num_arcs, dtype=np.int64)
+        self.run = np.full(num_arcs, -np.inf)
+
+
+def _arc_time_pid_order(
+    arcs: np.ndarray, times: np.ndarray, pids: np.ndarray
+) -> np.ndarray:
+    """Permutation putting rows in (arc, time, pid) service order.
+
+    Within one serve call the pids are distinct, so that order is a
+    *unique* permutation — any algorithm producing it matches
+    ``np.lexsort((pids, times, arcs))`` exactly.  This one needs two
+    plain argsorts instead of three stable passes: rank the arrival
+    epochs densely (equal floats share a rank, so exact time ties
+    still fall through to the pid), then argsort a single packed
+    ``(arc, rank, pid)`` int64 key.  Plain argsorts may be unstable,
+    which is safe here precisely because ranks collapse equal times
+    and the packed keys are unique — and they hit NumPy's vectorised
+    quicksort, which the stable kinds cannot use.
+
+    Falls back to ``np.lexsort`` when any time is negative (the int64
+    view of an IEEE double is order-preserving only for non-negative
+    values, ``-0.0`` included in the guard since its sign bit is set),
+    or when an id is negative or the packed key would overflow 63 bits.
+    """
+    n = arcs.shape[0]
+    t = times if times.flags.c_contiguous else np.ascontiguousarray(times)
+    o_t = np.argsort(t.view(np.int64))
+    t_s = t.view(np.int64)[o_t]
+    if t_s[0] < 0 or int(arcs.min()) < 0 or int(pids.min()) < 0:
+        return np.lexsort((pids, times, arcs))
+    r_sorted = np.empty(n, dtype=np.int64)
+    r_sorted[0] = 0
+    np.cumsum(t_s[1:] != t_s[:-1], out=r_sorted[1:])
+    bits_p = int(pids.max()).bit_length()
+    bits_r = int(r_sorted[-1]).bit_length()
+    bits_a = int(arcs.max()).bit_length()
+    if bits_a + bits_r + bits_p > 63:
+        return np.lexsort((pids, times, arcs))
+    rank = np.empty(n, dtype=np.int64)
+    rank[o_t] = r_sorted
+    key = (arcs << np.int64(bits_r + bits_p)) | (rank << np.int64(bits_p))
+    key |= pids
+    return np.argsort(key)
 
 
 def serve_level(
@@ -167,7 +207,7 @@ def serve_level(
     discipline: str = "fifo",
     service: float | np.ndarray = 1.0,
     *,
-    blocks: Optional[np.ndarray] = None,
+    carry: Optional[_ArcCarry] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve every server of one level in one shot.
 
@@ -178,34 +218,35 @@ def serve_level(
     *global arc id* (the heterogeneous-server generality noted after
     Prop 11).  Returns ``(departures, order)`` where ``departures`` is
     aligned with the inputs and ``order`` is the service permutation
-    (packets in (arc, time, pid) order) used for routing-decision
-    positions.
-
-    ``blocks`` is the replication-batching fast path: boundaries (as in
-    ``blocks[i]:blocks[i+1]``) of contiguous row runs whose arc-id
-    ranges are **disjoint and increasing** — which is how the batch
-    kernels lay out R stacked replications (arc ids offset by
-    ``replication * num_arcs``, rows replication-major).  Each block is
-    then sorted independently (cache-resident, exactly the sorts the
-    R standalone runs would do) and the concatenation *is* the global
-    (arc, time, pid) order, skipping one large cache-hostile lexsort.
+    (packets in (arc, time, pid) order, :func:`_arc_time_pid_order`)
+    used for routing-decision positions.
 
     FIFO is solved for **all** arcs in one segmented Lindley recursion
     (``D_i = s*(i+1) + max_{j<=i}(t_j - s*j)`` per arc, the closed form
     of :func:`repro.sim.lindley.fifo_departure_times`, with the running
     maximum computed by :func:`_segmented_running_max`) — no Python
-    loop over arcs, which is what makes the replication-batched engine
-    path scale.  PS runs every arc at once through the lockstep
-    fair-share kernel :func:`repro.sim.servers.ps_serve_segments`: one
-    NumPy step per event of the busiest arcs, then a scalar loop for
-    the last few, bit-identical to a per-arc
-    :class:`~repro.sim.servers.PSServer` replay.
+    loop over arcs.  With a *carry* the rows are one chunk's share of
+    the level: each arc's rows take global positions
+    ``carry.counts[a]...``, the carried running maximum is folded into
+    each segment's head before the prefix scan, and the carry advances
+    in place.  Chunks split an arc's arrival sequence at a boundary
+    that respects the (time, pid) service order, and ``max`` selects
+    one of its operands exactly, so a carried run reproduces the
+    one-shot departures bit for bit.  PS runs every arc at once through
+    the lockstep fair-share kernel
+    :func:`repro.sim.servers.ps_serve_segments`: one NumPy step per
+    event of the busiest arcs, then a scalar loop for the last few,
+    bit-identical to a per-arc :class:`~repro.sim.servers.PSServer`
+    replay (its chunk carry is :class:`_PsCarry`).
 
     ``service`` must be finite and > 0 (every entry of a per-arc
-    array, checked once per call).
+    array) and arrival epochs finite, each checked once per call.
+    FIFO accepts negative epochs; PS rejects them.
     """
     if discipline not in ("fifo", "ps"):
         raise ConfigurationError(f"unknown discipline {discipline!r}")
+    if carry is not None and discipline != "fifo":
+        raise ConfigurationError("a FIFO carry cannot seed a PS level")
     per_arc = isinstance(service, np.ndarray)
     if per_arc:
         if not (np.all(service > 0.0) and np.all(np.isfinite(service))):
@@ -216,33 +257,42 @@ def serve_level(
     dep = np.empty(n)
     if n == 0:
         return dep, np.zeros(0, dtype=np.int64)
-    if blocks is None:
-        order = np.lexsort((pids, times, arcs))
-    else:
-        order = np.empty(n, dtype=np.int64)
-        for lo, hi in zip(blocks[:-1], blocks[1:]):
-            order[lo:hi] = lo + np.lexsort(
-                (pids[lo:hi], times[lo:hi], arcs[lo:hi])
-            )
+    if not np.isfinite(times).all():
+        raise ValueError("arrival epochs must be finite")
+    order = _arc_time_pid_order(arcs, times, pids)
     a_s = arcs[order]
     t_s = times[order]
-    starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
-    bounds = np.r_[starts, n]
-    if discipline == "fifo":
-        counts = np.diff(bounds)
-        pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
-        idx = pos.astype(float)
-        s_rows = service[a_s] if per_arc else float(service)
-        run = _segmented_running_max(t_s - s_rows * idx, pos, blocks)
-        dep_s = s_rows * (idx + 1.0) + run
-    else:
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(a_s[1:], a_s[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.empty(starts.shape[0], dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    uniq = a_s[starts]
+    if discipline == "ps":
         m = starts.shape[0]
-        work = service[a_s[starts]] if per_arc else np.full(m, float(service))
-        dep_s = ps_serve_segments(
-            t_s, np.zeros(n), starts.copy(), starts, bounds[1:],
+        work = service[uniq] if per_arc else np.full(m, float(service))
+        dep[order] = ps_serve_segments(
+            t_s, np.zeros(n), starts.copy(), starts, starts + counts,
             np.zeros(m), np.zeros(m), work,
         )
-    dep[order] = dep_s
+        return dep, order
+    s = service[a_s] if per_arc else float(service)
+    pos = np.arange(n, dtype=np.int64) - np.repeat(starts, counts)
+    if carry is None:
+        idx = pos.astype(float)
+    else:
+        base = carry.counts[uniq]
+        idx = (pos + np.repeat(base, counts)).astype(float)
+    vals = t_s - s * idx
+    if carry is not None:
+        vals[starts] = np.maximum(vals[starts], carry.run[uniq])
+    run = _segmented_running_max(vals, pos)
+    dep[order] = s * (idx + 1.0) + run
+    if carry is not None:
+        carry.counts[uniq] = base + counts
+        carry.run[uniq] = run[starts + counts - 1]
     return dep, order
 
 
@@ -340,150 +390,14 @@ def simulate_butterfly_greedy(
 
 
 # ---------------------------------------------------------------------------
-# replication-batched packet mode
-# ---------------------------------------------------------------------------
-#
-# R independent replications of the same spec are R disjoint copies of
-# the network: offsetting every arc id by ``replication * num_arcs``
-# makes the stacked system one big levelled network whose per-arc
-# arrival sequences are exactly the per-replication ones.  The d-level
-# loop then runs once for the whole batch — one lexsort and one
-# segmented Lindley/PS solve per level instead of R — while each
-# replication's delivery sub-array stays bit-identical to its
-# standalone run (pinned by tests/test_golden_dispatch.py).
-
-
-def _stack_samples(
-    samples: Sequence[TrafficSample],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate samples into parallel arrays plus a replication id
-    per packet and the per-replication packet counts."""
-    counts = np.array([s.num_packets for s in samples], dtype=np.int64)
-    times = np.concatenate([np.asarray(s.times, dtype=float) for s in samples])
-    origins = np.concatenate(
-        [np.asarray(s.origins, dtype=np.int64) for s in samples]
-    )
-    dests = np.concatenate(
-        [np.asarray(s.destinations, dtype=np.int64) for s in samples]
-    )
-    rep = np.repeat(np.arange(len(samples), dtype=np.int64), counts)
-    return times, origins, dests, rep, counts
-
-
-def _split_delivery(
-    delivery: np.ndarray, counts: np.ndarray
-) -> List[np.ndarray]:
-    return np.split(delivery, np.cumsum(counts)[:-1])
-
-
-def _rep_blocks(rep_rows: np.ndarray, reps: int) -> np.ndarray:
-    """Block boundaries of the (sorted) per-row replication ids — the
-    ``serve_level`` fast path for replication-major stacked rows."""
-    return np.searchsorted(rep_rows, np.arange(reps + 1))
-
-
-def simulate_hypercube_greedy_batch(
-    cube: Hypercube,
-    samples: Sequence[TrafficSample],
-    *,
-    dim_order: Optional[Sequence[int]] = None,
-    discipline: str = "fifo",
-) -> List[np.ndarray]:
-    """Delivery epochs of R independent samples, one per-level sweep.
-
-    Entry *r* of the result is bit-identical to
-    ``simulate_hypercube_greedy(cube, samples[r], ...).delivery``: the
-    replications share the vectorised level loop but never a server.
-
-    Unlike the single-sample sweep, the batch keeps **no evolving
-    per-packet state**: a packet's position entering level ``dim`` is
-    ``origin XOR (diff & crossed-so-far)`` and its hop index is
-    ``popcount(diff & crossed-so-far)``, both stateless bit algebra —
-    so each level touches only its own rows (gather arrival, serve,
-    scatter departure into the next hop's slot) instead of re-masking
-    R stacked replications' worth of arrays.
-    """
-    d, n_nodes = cube.d, cube.num_nodes
-    if dim_order is None:
-        dim_order = range(d)
-    elif sorted(dim_order) != list(range(d)):
-        raise ConfigurationError(
-            f"dim_order must be a permutation of range({d}), got {dim_order!r}"
-        )
-    times, origins, dests, rep, counts = _stack_samples(samples)
-    arc_offset = rep * np.int64(cube.num_arcs)
-    diff = origins ^ dests
-    hops = np.bitwise_count(diff).astype(np.int64)
-    total = int(hops.sum())
-    delivery = times.copy()  # zero-hop packets are delivered at birth
-    if total == 0:
-        return _split_delivery(delivery, counts)
-    #: pid-major per-hop arrival epochs; slot ``first[p] + k`` is hop k
-    first = np.r_[0, np.cumsum(hops)[:-1]]
-    arrivals = np.empty(total)
-    routed = hops > 0
-    arrivals[first[routed]] = times[routed]
-    crossed = np.int64(0)
-    for dim in dim_order:
-        rows = np.flatnonzero((diff >> dim) & 1)
-        below = crossed
-        crossed |= np.int64(1) << dim
-        if rows.size == 0:
-            continue
-        pdiff = diff[rows]
-        already = pdiff & below
-        k = np.bitwise_count(already).astype(np.int64)
-        slots = first[rows] + k
-        arc_ids = dim * n_nodes + (origins[rows] ^ already) + arc_offset[rows]
-        dep, _ = serve_level(
-            arc_ids,
-            arrivals[slots],
-            rows,
-            discipline,
-            blocks=_rep_blocks(rep[rows], len(samples)),
-        )
-        last = k + 1 == hops[rows]
-        delivery[rows[last]] = dep[last]
-        cont = ~last
-        arrivals[slots[cont] + 1] = dep[cont]
-    return _split_delivery(delivery, counts)
-
-
-def simulate_butterfly_greedy_batch(
-    bf: Butterfly,
-    samples: Sequence[TrafficSample],
-    *,
-    discipline: str = "fifo",
-) -> List[np.ndarray]:
-    """Delivery epochs of R independent samples, one per-level sweep
-    (the butterfly analogue of :func:`simulate_hypercube_greedy_batch`)."""
-    d, rows_per_level = bf.d, bf.rows
-    times, origins, dests, rep, counts = _stack_samples(samples)
-    arc_offset = rep * np.int64(bf.num_arcs)
-    diff = origins ^ dests
-    rows = origins.copy()
-    cur = times.copy()
-    n = times.shape[0]
-    pids = np.arange(n, dtype=np.int64)
-    blocks = np.r_[0, np.cumsum(counts)]
-    for level in range(d):
-        kind = (diff >> level) & 1
-        arc_ids = level * 2 * rows_per_level + 2 * rows + kind + arc_offset
-        dep, _ = serve_level(arc_ids, cur, pids, discipline, blocks=blocks)
-        cur = dep
-        rows = rows ^ (kind << level)
-    if n and np.any(rows != dests):  # pragma: no cover - internal invariant
-        raise SimulationError("packets did not reach their destination rows")
-    return _split_delivery(cur, counts)
-
-
-# ---------------------------------------------------------------------------
 # chunked-horizon packet mode (streaming, bounded memory)
 # ---------------------------------------------------------------------------
 #
 # The one-shot sweeps materialise every packet's every hop at once, so
-# peak memory grows linearly with the horizon.  The chunked mode
-# processes packets in birth-order chunks instead: a chunk's watermark
+# peak memory grows linearly with the horizon.  The chunked mode — the
+# route every hypercube and butterfly replication takes, in chunks of
+# STREAM_CHUNK packets — processes packets in birth-order chunks
+# instead: a chunk's watermark
 # is its last birth epoch, rows whose arrival at a level exceeds the
 # watermark are parked for a later chunk, and each arc carries its
 # queue state between chunks.  Because every future packet is born at
@@ -491,11 +405,12 @@ def simulate_butterfly_greedy_batch(
 # stream up to the watermark is complete by the time its level is
 # served, so the carried state continues the one-shot construction
 # exactly.  Peak memory is O(chunk + in-flight rows + num_arcs) —
-# bounded by the chunk knob and the topology, independent of the
+# bounded by the chunk size and the topology, independent of the
 # horizon.
 #
 # FIFO carries the Lindley prefix state (arrival count + running max)
-# per arc, dense: the whole queue ahead of every arrival is determined
+# per arc in an :class:`_ArcCarry` that seeds :func:`serve_level`,
+# dense: the whole queue ahead of every arrival is determined
 # at admission, so departures are emitted immediately — even past the
 # watermark — and because ``max`` selects one of its operands exactly,
 # the carried closed form reproduces every departure **bit for bit**
@@ -520,128 +435,10 @@ def simulate_butterfly_greedy_batch(
 # instead of a scan over the remaining dimensions.
 
 
-class _ArcCarry:
-    """Dense per-arc FIFO Lindley state carried across horizon chunks.
-
-    ``counts[a]`` is how many arrivals arc *a* has served so far and
-    ``run[a]`` the running maximum of ``t_j - s*j`` over them — the
-    prefix state of :func:`serve_level`'s closed form.  Memory is
-    O(num_arcs): topology-bounded, independent of the horizon.
-    """
-
-    __slots__ = ("counts", "run")
-
-    def __init__(self, num_arcs: int) -> None:
-        self.counts = np.zeros(num_arcs, dtype=np.int64)
-        self.run = np.full(num_arcs, -np.inf)
-
-
-#: grow-on-demand scratch aranges shared by every carry-kernel call in
-#: the process (workers are processes, so there is no sharing hazard)
-_ARANGE_F = np.empty(0)
-_ARANGE_I = np.empty(0, dtype=np.int64)
-
-
-def _scratch_aranges(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    global _ARANGE_F, _ARANGE_I
-    if _ARANGE_F.shape[0] < n:
-        size = max(n, 2 * _ARANGE_F.shape[0])
-        _ARANGE_F = np.arange(size, dtype=float)
-        _ARANGE_I = np.arange(size, dtype=np.int64)
-    return _ARANGE_F[:n], _ARANGE_I[:n]
-
-
-def _arc_time_pid_order(
-    arcs: np.ndarray, times: np.ndarray, pids: np.ndarray
-) -> np.ndarray:
-    """Permutation putting rows in (arc, time, pid) service order.
-
-    Within one serve call the pids are distinct, so that order is a
-    *unique* permutation — any algorithm producing it matches
-    ``np.lexsort((pids, times, arcs))`` exactly.  This one needs two
-    plain argsorts instead of three stable passes: rank the arrival
-    epochs densely (equal floats share a rank, so exact time ties
-    still fall through to the pid), then argsort a single packed
-    ``(arc, rank, pid)`` int64 key.  Plain argsorts may be unstable,
-    which is safe here precisely because ranks collapse equal times
-    and the packed keys are unique — and they hit NumPy's vectorised
-    quicksort, which the stable kinds cannot use.
-
-    Falls back to ``np.lexsort`` when the packed key would overflow 63
-    bits or any time is negative (the int64 view of an IEEE double is
-    order-preserving only for non-negative values, ``-0.0`` included
-    in the guard since its sign bit is set).
-    """
-    n = arcs.shape[0]
-    t = times if times.flags.c_contiguous else np.ascontiguousarray(times)
-    o_t = np.argsort(t.view(np.int64))
-    t_s = t.view(np.int64)[o_t]
-    if t_s[0] < 0:
-        return np.lexsort((pids, times, arcs))
-    r_sorted = np.empty(n, dtype=np.int64)
-    r_sorted[0] = 0
-    np.cumsum(t_s[1:] != t_s[:-1], out=r_sorted[1:])
-    bits_p = int(pids.max()).bit_length()
-    bits_r = int(r_sorted[-1]).bit_length()
-    bits_a = int(arcs.max()).bit_length()
-    if bits_a + bits_r + bits_p > 63:
-        return np.lexsort((pids, times, arcs))
-    rank = np.empty(n, dtype=np.int64)
-    rank[o_t] = r_sorted
-    key = (arcs << np.int64(bits_r + bits_p)) | (rank << np.int64(bits_p))
-    key |= pids
-    return np.argsort(key)
-
-
-def _serve_fifo_carry(
-    arcs: np.ndarray,
-    times: np.ndarray,
-    pids: np.ndarray,
-    service: float,
-    carry: _ArcCarry,
-) -> np.ndarray:
-    """One chunk's share of a level's FIFO arrivals, with carry-over.
-
-    Bit-identical continuation of :func:`serve_level`'s closed form:
-    each arc's rows take global positions ``carry.counts[a]...`` and
-    the running maximum seeds from the carried one.  Chunks split an
-    arc's arrival sequence at a boundary that respects the (time, pid)
-    service order, and ``max`` selects one of its operands exactly, so
-    no departure epoch moves by a single bit.  The carried maximum is
-    folded into each segment's head before the prefix scan — the scan
-    then propagates it to every element, the same multiset maximum the
-    historical post-scan ``np.maximum`` computed.
-    """
-    n = arcs.shape[0]
-    dep = np.empty(n)
-    if n == 0:
-        return dep
-    order = _arc_time_pid_order(arcs, times, pids)
-    a_s = arcs[order]
-    t_s = times[order]
-    head = np.empty(n, dtype=bool)
-    head[0] = True
-    np.not_equal(a_s[1:], a_s[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    counts = np.empty(starts.shape[0], dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = n - starts[-1]
-    uniq = a_s[starts]
-    s = float(service)
-    base = carry.counts[uniq]
-    arange_f, arange_i = _scratch_aranges(n)
-    pos = arange_i - np.repeat(starts, counts)
-    # i + float(base - start) == (i - start) + base exactly: integers
-    # below 2**52 stay exact through the cast and the add
-    idx = arange_f + np.repeat((base - starts).astype(float), counts)
-    vals = t_s - s * idx
-    vals[starts] = np.maximum(vals[starts], carry.run[uniq])
-    run = _segmented_running_max(vals, pos)
-    dep[order] = s * (idx + 1.0) + run
-    carry.counts[uniq] = base + counts
-    ends = starts + counts - 1
-    carry.run[uniq] = run[ends]
-    return dep
+#: packets per chunk of the streamed sweeps: large enough that the
+#: per-level Python overhead amortises, small enough that a chunk's
+#: working set stays a few MB whatever the horizon
+STREAM_CHUNK = 32768
 
 
 class _PsCarry:
@@ -751,8 +548,9 @@ def _level_space_diff(
 
 
 def _ctz(values: np.ndarray) -> np.ndarray:
-    """Count trailing zeros of strictly positive int64 values."""
-    return np.bitwise_count((values & -values) - 1).astype(np.int64)
+    """Count trailing zeros of strictly positive int64 values, as
+    uint8 (level keys that small take NumPy's radix sort)."""
+    return np.bitwise_count((values & -values) - 1)
 
 
 def _bucket_by_level(
@@ -778,12 +576,14 @@ def simulate_hypercube_greedy_chunked(
     cube: Hypercube,
     sample: TrafficSample,
     *,
-    chunk_packets: int,
+    chunk_packets: int = STREAM_CHUNK,
     dim_order: Optional[Sequence[int]] = None,
     discipline: str = "fifo",
 ) -> np.ndarray:
     """Delivery epochs of :func:`simulate_hypercube_greedy`, computed
-    in birth-ordered chunks of at most ``chunk_packets`` packets.
+    in birth-ordered chunks of at most ``chunk_packets`` packets (the
+    route the hypercube network plugin streams every replication
+    through, at :data:`STREAM_CHUNK`).
 
     Matches the one-shot sweep bit for bit — FIFO via the dense
     Lindley prefix carry, PS by continuing the fair-share kernel from
@@ -856,7 +656,7 @@ def simulate_hypercube_greedy_chunked(
             arc_ids = np.int64(dims[di]) * n_nodes + (origins[pids_l] ^ already)
             if fifo:
                 out_pids = pids_l
-                out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
+                out_dep, _ = serve_level(arc_ids, t_l, pids_l, carry=carry)
                 out_ld = ld_l
             else:
                 # a busy arc drains up to the watermark even when this
@@ -885,7 +685,7 @@ def simulate_butterfly_greedy_chunked(
     bf: Butterfly,
     sample: TrafficSample,
     *,
-    chunk_packets: int,
+    chunk_packets: int = STREAM_CHUNK,
     discipline: str = "fifo",
 ) -> np.ndarray:
     """Delivery epochs of :func:`simulate_butterfly_greedy`, computed
@@ -936,7 +736,7 @@ def simulate_butterfly_greedy_chunked(
             arc_ids = level * 2 * rows_per_level + 2 * rows_addr + kind
             if fifo:
                 out_pids = pids_l
-                out_dep = _serve_fifo_carry(arc_ids, t_l, pids_l, 1.0, carry)
+                out_dep, _ = serve_level(arc_ids, t_l, pids_l, carry=carry)
             else:
                 out_pids, out_dep = ps_carry.serve(
                     level, arc_ids, t_l, pids_l, watermark

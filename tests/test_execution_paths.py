@@ -1,14 +1,14 @@
-"""The three-route equivalence contract of the parallel runner.
+"""The route equivalence contract of the parallel runner.
 
-One spec, three ways to execute its replications — sequential
-per-replication tasks, the cache-resident sub-batched engine path, and
-the shared-workload parallel composition (``jobs > 1`` with workloads
-generated centrally and published through a memory-mapped file) — plus
-the bounded-memory chunked-horizon mode.  All of them must be
-**bit-identical**: same pooled measurement, and byte-identical
-per-replication cache cells (the cells are how sweeps compose across
-sessions, so even a one-ulp drift would poison every downstream
-pooled estimate).
+One spec, several ways to execute its replications — sequential
+per-replication tasks, the batched route in process, and the batched
+route split across a worker pool (``jobs > 1``) — plus the streamed
+(chunked-horizon) level sweeps every hypercube and butterfly
+replication runs through.  All of them must be **bit-identical**: same
+pooled measurement, byte-identical per-replication cache cells (the
+cells are how sweeps compose across sessions, so even a one-ulp drift
+would poison every downstream pooled estimate), and streamed delivery
+epochs equal to the one-shot sweep's at every chunk size.
 """
 
 import tracemalloc
@@ -17,8 +17,16 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.rng import as_generator, replication_seeds
 from repro.runner import ScenarioSpec, measure
 from repro.runner.store import ResultsStore
+from repro.sim.feedforward import (
+    STREAM_CHUNK,
+    simulate_butterfly_greedy,
+    simulate_butterfly_greedy_chunked,
+    simulate_hypercube_greedy,
+    simulate_hypercube_greedy_chunked,
+)
 
 #: one small cell per registered network (both native engines: the
 #: level sweep on hypercube/butterfly, the fixed-point solver on
@@ -46,7 +54,7 @@ CELLS = [
     ),
 ]
 
-#: the two pool widths the shared-workload route is exercised at
+#: the two pool widths the batched route is split across
 WORKER_COUNTS = (2, 4)
 
 
@@ -57,17 +65,38 @@ def _cell_bytes(store, spec):
     ]
 
 
-def _cell_numbers(store, spec):
-    """The numeric payload of each per-replication cell (a chunked
-    spec's cell embeds its own spec dict — different content hash, by
-    design — so byte equality only applies within one spec)."""
-    import json
+def _samples(spec):
+    """Every replication's workload sample, drawn as the runner does."""
+    net = spec.network_plugin
+    seeds = replication_seeds(spec.base_seed, spec.replications, spec.seed_policy)
+    workload = net.build_workload(spec)
+    return [workload.generate(spec.horizon, as_generator(s)) for s in seeds]
 
-    out = []
-    for k in range(spec.replications):
-        cell = json.loads(store.replication_path_for(spec, k).read_text())
-        out.append((cell["mean_delay"], cell["num_packets"], cell["metrics"]))
-    return out
+
+def _one_shot(topology, spec, sample, discipline):
+    """Delivery epochs from the one-shot (unstreamed) level sweep."""
+    if spec.network == "butterfly":
+        return simulate_butterfly_greedy(
+            topology, sample, discipline=discipline
+        ).delivery
+    dim_order = spec.option("dim_order")
+    return simulate_hypercube_greedy(
+        topology, sample, discipline=discipline,
+        dim_order=None if dim_order is None else list(dim_order),
+    ).delivery
+
+
+def _chunked(topology, spec, sample, discipline, chunk):
+    """Delivery epochs from the streamed sweep at *chunk* packets."""
+    if spec.network == "butterfly":
+        return simulate_butterfly_greedy_chunked(
+            topology, sample, chunk_packets=chunk, discipline=discipline
+        )
+    dim_order = spec.option("dim_order")
+    return simulate_hypercube_greedy_chunked(
+        topology, sample, chunk_packets=chunk, discipline=discipline,
+        dim_order=None if dim_order is None else list(dim_order),
+    )
 
 
 class TestThreeRouteEquivalence:
@@ -94,29 +123,22 @@ class TestThreeRouteEquivalence:
         "spec", [s for s in CELLS if s.network in ("hypercube", "butterfly")],
         ids=lambda s: s.network,
     )
-    def test_chunked_horizon_identical(self, spec, tmp_path):
-        """The chunked-horizon mode matches the one-shot sweep bit for
-        bit, in process and across the pool (the chunk size must never
-        leak into the numbers — only into the memory profile)."""
-        seq_store = ResultsStore(tmp_path / "seq")
-        m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
-        reference = _cell_numbers(seq_store, spec)
-        for chunk in (1, 7, 50, 10**6):
-            chunked = spec.replace(extra={"chunk_packets": chunk})
-            chk_store = ResultsStore(tmp_path / f"chk{chunk}")
-            m_chk = measure(chunked, jobs=1, batch=True, store=chk_store)
-            assert m_chk.replication_delays == m_seq.replication_delays
-            assert _cell_numbers(chk_store, chunked) == reference
-        chunked = spec.replace(extra={"chunk_packets": 13})
-        m_par = measure(chunked, jobs=2, batch=True)
-        assert m_par.replication_delays == m_seq.replication_delays
+    def test_chunked_horizon_identical(self, spec):
+        """The streamed kernels match the one-shot sweep bit for bit
+        under both disciplines (the chunk size must never leak into
+        the numbers — only into the memory profile)."""
+        topology = spec.network_plugin.build_topology(spec)
+        for sample in _samples(spec):
+            for discipline in ("fifo", "ps"):
+                one_shot = _one_shot(topology, spec, sample, discipline)
+                for chunk in (1, 7, 13, 50, 10**6):
+                    got = _chunked(topology, spec, sample, discipline, chunk)
+                    assert np.array_equal(got, one_shot), (discipline, chunk)
 
 
-#: event-engine cells: greedy forced onto the calendar engine rides
-#: every route (its shared-workload decomposition rebuilds paths from
-#: the published samples); the cyclic-scheme cells have no shm
-#: decomposition (their scheme RNG follows the workload draw) and
-#: compose through chunked batch tasks at jobs > 1 instead
+#: event-engine cells: greedy forced onto the calendar engine, and the
+#: cyclic schemes whose batch runner draws scheme randomness after the
+#: workload on each replication stream; all ride every route
 EVENT_CELLS = [
     ScenarioSpec(
         name="paths-ev-greedy", network="hypercube", scheme="greedy",
@@ -145,12 +167,12 @@ CYCLIC_CELLS = [
 
 
 class TestEventRouteEquivalence:
-    """The three-route contract extended to the event calendar."""
+    """The route contract extended to the event calendar."""
 
     @pytest.mark.parametrize("spec", EVENT_CELLS, ids=lambda s: s.name)
     def test_event_engine_three_routes_identical(self, spec, tmp_path):
         """Greedy on the forced event engine: sequential, batched and
-        shared-workload (jobs=2) cells byte-identical."""
+        pool-split batched (jobs=2) cells byte-identical."""
         seq_store = ResultsStore(tmp_path / "seq")
         m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
         reference = _cell_bytes(seq_store, spec)
@@ -167,9 +189,8 @@ class TestEventRouteEquivalence:
 
     @pytest.mark.parametrize("spec", CYCLIC_CELLS, ids=lambda s: s.name)
     def test_cyclic_scheme_batched_routes_identical(self, spec, tmp_path):
-        """Cyclic schemes (batch runner, no shm decomposition): the
-        batched calendar and its jobs=2 chunked composition reproduce
-        the sequential cells byte for byte."""
+        """Cyclic schemes: the batched calendar and its jobs=2 split
+        reproduce the sequential cells byte for byte."""
         seq_store = ResultsStore(tmp_path / "seq")
         m_seq = measure(spec, jobs=1, batch=False, store=seq_store)
         reference = _cell_bytes(seq_store, spec)
@@ -189,18 +210,17 @@ class TestChunkedKernels:
     def test_hypercube_chunked_respects_dim_order(self):
         """Chunk composition commutes with a permuted global crossing
         order (the carry is per *arc*, and arcs are dimension-scoped)."""
-        base = ScenarioSpec(
+        spec = ScenarioSpec(
             name="chk-order", network="hypercube", scheme="greedy", d=6,
             rho=0.6, horizon=6.0, replications=2, base_seed=5,
             extra={"dim_order": (3, 0, 5, 1, 4, 2)},
         )
-        m_one = measure(base, jobs=1, batch=False)
-        m_chk = measure(
-            base.replace(extra={"dim_order": (3, 0, 5, 1, 4, 2),
-                                "chunk_packets": 19}),
-            jobs=1, batch=True,
-        )
-        assert m_chk.replication_delays == m_one.replication_delays
+        topology = spec.network_plugin.build_topology(spec)
+        for sample in _samples(spec):
+            for discipline in ("fifo", "ps"):
+                one_shot = _one_shot(topology, spec, sample, discipline)
+                got = _chunked(topology, spec, sample, discipline, 19)
+                assert np.array_equal(got, one_shot), discipline
 
     def test_chunked_rejects_nonpositive_chunk(self):
         from repro.sim.feedforward import simulate_hypercube_greedy_chunked
@@ -215,16 +235,43 @@ class TestChunkedKernels:
         with pytest.raises(ConfigurationError, match="chunk_packets"):
             simulate_hypercube_greedy_chunked(cube, sample, chunk_packets=0)
 
-    def test_chunked_rejects_unchunkable_network(self):
-        """Networks without a chunk-composable kernel reject the option
-        at validation time (fixedpoint declares no such option)."""
-        with pytest.raises(ConfigurationError, match="chunk_packets"):
+    def test_removed_engine_options_are_rejected(self):
+        """Streaming is always on, so the old route knobs are unknown
+        options, rejected by name at validation time."""
+        for key in ("chunk_packets", "batch_reps"):
+            with pytest.raises(ConfigurationError, match=key):
+                ScenarioSpec(
+                    name="chk-knob", network="hypercube", scheme="greedy",
+                    d=4, rho=0.5, horizon=4.0, replications=1,
+                    extra={key: 16},
+                )
+
+    @pytest.mark.parametrize("network,d", [("hypercube", 8), ("butterfly", 8)])
+    def test_default_path_matches_one_shot_beyond_one_chunk(self, network, d):
+        """A cell larger than one default chunk: the engine's default
+        (streamed) path equals the one-shot sweep bit for bit, per
+        delivery epoch and per replication, under both disciplines."""
+        from repro.plugins.api import steady_output
+        from repro.sim.measurement import DelayRecord
+
+        for discipline in ("fifo", "ps"):
             spec = ScenarioSpec(
-                name="chk-ring", network="ring", scheme="greedy", d=4,
-                rho=0.5, horizon=4.0, replications=1,
-                extra={"chunk_packets": 16},
+                name="chk-big", network=network, scheme="greedy", d=d,
+                rho=0.6, horizon=120.0, replications=2, base_seed=31,
+                discipline=discipline,
             )
-            measure(spec, jobs=1)
+            net = spec.network_plugin
+            topology = net.build_topology(spec)
+            expected = []
+            for sample in _samples(spec):
+                assert sample.num_packets > STREAM_CHUNK
+                one_shot = _one_shot(topology, spec, sample, discipline)
+                got = net.simulate_greedy(topology, spec, sample)
+                assert np.array_equal(got, one_shot), discipline
+                record = DelayRecord(sample.times, one_shot, sample.horizon)
+                expected.append(steady_output(spec, record).mean_delay)
+            m = measure(spec, jobs=1)
+            assert m.replication_delays == tuple(expected), discipline
 
 
 class TestChunkedPS:
@@ -238,18 +285,6 @@ class TestChunkedPS:
     TOL = 1e-9
     CHUNKS = (1, 7, 50, 333, 10**6)
 
-    @staticmethod
-    def _one_replication(spec):
-        from repro.rng import as_generator, replication_seeds
-
-        net = spec.network_plugin
-        topology = net.build_topology(spec)
-        seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
-        sample = net.build_workload(spec).generate(
-            spec.horizon, as_generator(seeds[0])
-        )
-        return net, topology, sample
-
     @pytest.mark.parametrize("network,d", [("hypercube", 5), ("butterfly", 4)])
     def test_ps_chunk_sweep_matches_one_shot(self, network, d):
         spec = ScenarioSpec(
@@ -257,13 +292,12 @@ class TestChunkedPS:
             rho=0.6, horizon=8.0, replications=1, base_seed=21,
             discipline="ps",
         )
-        net, topology, sample = self._one_replication(spec)
+        topology = spec.network_plugin.build_topology(spec)
+        (sample,) = _samples(spec)
         assert sample.num_packets > 100
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = _one_shot(topology, spec, sample, "ps")
         for chunk in self.CHUNKS:
-            chunked = net.simulate_greedy_chunked(
-                topology, spec, sample, chunk
-            )
+            chunked = _chunked(topology, spec, sample, "ps", chunk)
             err = float(np.max(np.abs(chunked - one_shot)))
             assert np.array_equal(chunked, one_shot), (
                 f"chunk={chunk}: max deviation {err}"
@@ -278,28 +312,30 @@ class TestChunkedPS:
             rho=0.6, horizon=8.0, replications=1, base_seed=22,
             discipline="ps", extra=extra,
         )
-        net, topology, sample = self._one_replication(spec)
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        topology = spec.network_plugin.build_topology(spec)
+        (sample,) = _samples(spec)
+        one_shot = _one_shot(topology, spec, sample, "ps")
         for chunk in (1, 29, 10**6):
-            chunked = net.simulate_greedy_chunked(
-                topology, spec, sample, chunk
-            )
+            chunked = _chunked(topology, spec, sample, "ps", chunk)
             assert np.array_equal(chunked, one_shot), chunk
 
     def test_ps_chunked_accepted_end_to_end(self):
-        """The engine no longer rejects chunk_packets + PS: a chunked
-        PS measurement runs and agrees with the one-shot PS run."""
+        """A PS measurement runs end to end on the streamed default
+        path and agrees with one-shot PS sweeps of its replications."""
+        from repro.plugins.api import steady_output
+        from repro.sim.measurement import DelayRecord
+
         spec = ScenarioSpec(
             name="chk-ps-e2e", network="hypercube", scheme="greedy", d=4,
             rho=0.5, horizon=6.0, replications=3, base_seed=23,
             discipline="ps",
         )
-        m_one = measure(spec, jobs=1, batch=False)
-        m_chk = measure(
-            spec.replace(extra={"chunk_packets": 16}), jobs=1, batch=True
-        )
-        for a, b in zip(m_chk.replication_delays, m_one.replication_delays):
-            assert abs(a - b) <= self.TOL
+        topology = spec.network_plugin.build_topology(spec)
+        m = measure(spec, jobs=1, batch=True)
+        for got, sample in zip(m.replication_delays, _samples(spec)):
+            one_shot = _one_shot(topology, spec, sample, "ps")
+            record = DelayRecord(sample.times, one_shot, sample.horizon)
+            assert abs(got - steady_output(spec, record).mean_delay) <= self.TOL
 
 
 class TestRepBlockedConvergence:
@@ -383,20 +419,16 @@ class TestBoundedMemory:
             name="mem-long", network="hypercube", scheme="greedy", d=8,
             rho=0.7, horizon=150.0, replications=1, base_seed=2,
         )
-        net = spec.network_plugin
-        topology = net.build_topology(spec)
-        from repro.rng import as_generator, replication_seeds
-
-        seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
-        sample = net.build_workload(spec).generate(
-            spec.horizon, as_generator(seeds[0])
-        )
+        topology = spec.network_plugin.build_topology(spec)
+        (sample,) = _samples(spec)
         tracemalloc.start()
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = simulate_hypercube_greedy(topology, sample).delivery
         _, peak_one = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         tracemalloc.start()
-        chunked = net.simulate_greedy_chunked(topology, spec, sample, 2048)
+        chunked = simulate_hypercube_greedy_chunked(
+            topology, sample, chunk_packets=2048
+        )
         _, peak_chunk = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert np.array_equal(one_shot, chunked)
@@ -411,18 +443,14 @@ class TestBoundedMemory:
             name="mem-d20", network="hypercube", scheme="greedy", d=20,
             rho=0.6, horizon=0.05, replications=1, base_seed=3,
         )
-        net = spec.network_plugin
-        topology = net.build_topology(spec)
-        from repro.rng import as_generator, replication_seeds
-
-        seeds = replication_seeds(spec.base_seed, 1, spec.seed_policy)
-        sample = net.build_workload(spec).generate(
-            spec.horizon, as_generator(seeds[0])
-        )
+        topology = spec.network_plugin.build_topology(spec)
+        (sample,) = _samples(spec)
         assert sample.num_packets > 20_000  # a real cell, not a toy
         chunk = 8192
         tracemalloc.start()
-        chunked = net.simulate_greedy_chunked(topology, spec, sample, chunk)
+        chunked = simulate_hypercube_greedy_chunked(
+            topology, sample, chunk_packets=chunk
+        )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         # dense carry: int64 counts + float64 running max per arc
@@ -434,7 +462,7 @@ class TestBoundedMemory:
         # footprint, which is what the horizon multiplies
         budget = carry_bytes + 64 * 8 * chunk + 400 * sample.num_packets
         assert peak < budget
-        one_shot = net.simulate_greedy(topology, spec, sample)
+        one_shot = simulate_hypercube_greedy(topology, sample).delivery
         assert np.array_equal(one_shot, chunked)
 
 
@@ -455,24 +483,3 @@ class TestRunnerResolution:
         spec = CELLS[0]
         measure(spec, jobs=1, batch=True)
         assert calls == [spec.name]
-
-    def test_shared_workload_scratch_is_cleaned_up(self, tmp_path, monkeypatch):
-        """The memory-mapped scratch directory must not outlive the
-        measure_many call."""
-        import tempfile
-
-        created = []
-        real = tempfile.mkdtemp
-
-        def tracking(*args, **kwargs):
-            path = real(*args, **kwargs)
-            created.append(path)
-            return path
-
-        monkeypatch.setattr(tempfile, "mkdtemp", tracking)
-        measure(CELLS[0], jobs=2, batch=True)
-        import os
-
-        scratch = [p for p in created if "repro-shm-" in p]
-        assert scratch, "the jobs>1 batched route should share workloads"
-        assert not any(os.path.exists(p) for p in scratch)

@@ -1,10 +1,15 @@
 """Property-based tests on simulator invariants (hypothesis)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.feedforward import serve_level, simulate_hypercube_greedy
+from repro.sim.feedforward import (
+    _ArcCarry,
+    serve_level,
+    simulate_hypercube_greedy,
+)
 from repro.sim.lindley import fifo_departure_times
 from repro.topology.hypercube import Hypercube
 from repro.traffic.workload import TrafficSample
@@ -80,6 +85,168 @@ def test_property_ps_dominates_fifo_per_level(inst):
     dep_fifo, _ = serve_level(arcs, times, pids, discipline="fifo")
     dep_ps, _ = serve_level(arcs, times, pids, discipline="ps")
     assert np.all(dep_fifo <= dep_ps + 1e-9)
+
+
+def _reference_fifo(arcs, times, pids, service=1.0):
+    """Frozen reference for :func:`serve_level`'s FIFO branch: a
+    three-key lexsort, then one :func:`fifo_departure_times` call per
+    arc."""
+    n = arcs.shape[0]
+    order = np.lexsort((pids, times, arcs))
+    a_s, t_s = arcs[order], times[order]
+    starts = np.flatnonzero(np.r_[True, a_s[1:] != a_s[:-1]])
+    bounds = np.r_[starts, n]
+    dep_s = np.empty(n)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s = service if np.isscalar(service) else float(service[a_s[lo]])
+        dep_s[lo:hi] = fifo_departure_times(t_s[lo:hi], s)
+    dep = np.empty(n)
+    dep[order] = dep_s
+    return dep, order
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+#: arrival epochs on a quarter-unit grid (exact ties are common), some
+#: negative, with ``-0.0`` drawn distinctly from ``0.0``
+_EPOCHS = st.one_of(
+    st.integers(min_value=-8, max_value=40).map(lambda k: k / 4.0),
+    st.just(-0.0),
+    st.floats(min_value=-5.0, max_value=30.0),
+)
+
+
+@st.composite
+def fifo_level(draw, max_arcs=6, negative=True, big_ids=True):
+    """One level's rows: arcs, arrival epochs and distinct pids.
+
+    With *negative*, half the draws mix in negative and ``-0.0``
+    epochs.  With *big_ids*, arc and pid ids are spread by multipliers
+    large enough that the packed ``(arc, rank, pid)`` key overflows 63
+    bits, and some pids are negative."""
+    n = draw(st.integers(min_value=1, max_value=50))
+    arcs = np.array(
+        draw(st.lists(st.integers(0, max_arcs - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    if negative and draw(st.booleans()):
+        epochs = _EPOCHS
+    else:
+        epochs = st.integers(0, 160).map(lambda k: k / 4.0)
+    times = np.array(draw(st.lists(epochs, min_size=n, max_size=n)), dtype=float)
+    pids = np.array(
+        draw(st.permutations(range(n))), dtype=np.int64
+    ) * draw(st.sampled_from([1, 3]))
+    if big_ids:
+        arcs *= draw(st.sampled_from([1, 2**20 + 1, 2**50]))
+        pids *= draw(st.sampled_from([1, 2**16 + 1, 2**40 + 1]))
+        pids -= draw(st.sampled_from([0, 0, 25]))
+    return arcs, times, pids
+
+
+class TestUnifiedFifoPrimitive:
+    """:func:`serve_level`'s FIFO branch — the packed-key service
+    order plus the closed form, optionally seeded from a carry —
+    against the frozen reference, bit for bit (``view(int64)``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=fifo_level())
+    def test_matches_lexsort_reference(self, inst):
+        """Exact time ties, negative and ``-0.0`` epochs (the lexsort
+        fallback) and ids whose packed key exceeds 63 bits (the second
+        fallback)."""
+        arcs, times, pids = inst
+        dep, order = serve_level(arcs, times, pids)
+        want, want_order = _reference_fifo(arcs, times, pids)
+        assert _same_bits(dep, want)
+        assert np.array_equal(order, want_order)
+
+    def test_fallbacks_are_reached(self):
+        """The packed sort's lexsort fallbacks, pinned explicitly:
+        negative or ``-0.0`` epochs, negative ids, and packed keys
+        wider than 63 bits.  Two arcs with one queue each: a key that
+        mixed them up would split the queues and lose the waiting."""
+        arcs = np.array([0, 1, 0, 1], dtype=np.int64)
+        pids = np.arange(4, dtype=np.int64)
+        zeros = np.zeros(4)
+        cases = [
+            (arcs, np.array([0.0, -0.0, 0.0, -0.0]), pids),
+            (arcs, np.array([1.0, -2.0, 1.0, 0.5]), pids),
+            (arcs, zeros, pids - 2),
+            (arcs * 2**50, zeros, pids + 2**20),
+        ]
+        for a, t, p in cases:
+            dep, _ = serve_level(a, t, p)
+            assert _same_bits(dep, _reference_fifo(a, t, p)[0])
+        assert np.array_equal(dep, [1.0, 1.0, 2.0, 2.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=fifo_level(big_ids=False), data=st.data())
+    def test_per_arc_service(self, inst, data):
+        arcs, times, pids = inst
+        service = np.array(
+            data.draw(
+                st.lists(
+                    st.sampled_from([1.0, 0.5, 2.0, 0.3, 1.7]),
+                    min_size=6,
+                    max_size=6,
+                )
+            )
+        )
+        dep, _ = serve_level(arcs, times, pids, service=service)
+        assert _same_bits(dep, _reference_fifo(arcs, times, pids, service)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=fifo_level(big_ids=False), per_arc=st.booleans())
+    def test_carry_split_at_every_row_boundary(self, inst, per_arc):
+        """Rows fed in (time, pid) order, split at every boundary, the
+        second part seeded from the first part's carry: the joined
+        departures equal the one-shot call bit for bit."""
+        arcs, times, pids = inst
+        service = np.array([1.0, 0.5, 2.0, 0.3, 1.7, 1.0]) if per_arc else 1.0
+        one_shot, _ = serve_level(arcs, times, pids, service=service)
+        feed = np.lexsort((pids, times))
+        n = arcs.shape[0]
+        for cut in range(n + 1):
+            carry = _ArcCarry(6)
+            got = np.empty(n)
+            for part in (feed[:cut], feed[cut:]):
+                got[part], _ = serve_level(
+                    arcs[part], times[part], pids[part],
+                    service=service, carry=carry,
+                )
+            assert _same_bits(got, one_shot), cut
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_epochs(self, bad):
+        """A NaN used to sort last and be served as if absent."""
+        arcs = np.zeros(3, dtype=np.int64)
+        times = np.array([0.0, bad, 1.0])
+        pids = np.arange(3, dtype=np.int64)
+        for discipline in ("fifo", "ps"):
+            with pytest.raises(ValueError, match="finite"):
+                serve_level(arcs, times, pids, discipline)
+        carry = _ArcCarry(1)
+        serve_level(arcs[:1], times[:1], pids[:1], carry=carry)
+        with pytest.raises(ValueError, match="finite"):
+            serve_level(arcs[1:], times[1:], pids[1:], carry=carry)
+
+    def test_negative_epochs_stay_legal_for_fifo(self):
+        dep, _ = serve_level(
+            np.zeros(2, dtype=np.int64), np.array([-1.0, -0.5]), np.arange(2)
+        )
+        assert np.array_equal(dep, [0.0, 1.0])
+
+    def test_carry_rejected_for_ps(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            serve_level(
+                np.zeros(1, dtype=np.int64), np.zeros(1), np.arange(1),
+                "ps", carry=_ArcCarry(1),
+            )
 
 
 # Birth times are drawn on the dyadic grid 2^-6 so that the translated
