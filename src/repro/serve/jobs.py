@@ -238,25 +238,33 @@ class JobManager:
         job_id = secrets.token_hex(6)
         job_dir = self.state_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
+        # dispatch before registering: a job the pool refused (e.g. a
+        # shut-down executor) must not linger as queued and absorb every
+        # later submit of the same spec
+        try:
+            future = loop.run_in_executor(
+                self.executor,
+                execute_job,
+                str(job_dir),
+                spec.to_dict(),
+                str(self.store_root),
+                self.backend,
+                self.wave_reps,
+            )
+        except BaseException:
+            shutil.rmtree(job_dir, ignore_errors=True)
+            raise
         job = Job(
             id=job_id,
             spec=spec,
             spec_hash=spec_hash,
             job_dir=job_dir,
             created=time.time(),
+            future=future,
         )
         self.jobs[job_id] = job
         self._active[spec_hash] = job_id
-        job.future = loop.run_in_executor(
-            self.executor,
-            execute_job,
-            str(job_dir),
-            spec.to_dict(),
-            str(self.store_root),
-            self.backend,
-            self.wave_reps,
-        )
-        job.future.add_done_callback(lambda fut: self._finish(job, fut))
+        future.add_done_callback(lambda fut: self._finish(job, fut))
         return job, True
 
     def _finish(self, job: Job, fut) -> None:

@@ -6,6 +6,15 @@ optimistic.  The standard remedy used here is the **batch-means**
 method: split the (time-ordered) observations into ``k`` contiguous
 batches, treat batch averages as approximately independent normal
 samples, and build a t-interval from them.
+
+The t quantile comes from ``scipy.special.stdtrit``, imported on first
+use.  ``scipy.stats.t.ppf`` computes exactly ``stdtrit(df, q) * scale +
+loc`` (with scale 1 and loc 0) after argument checks, so calling the
+special function directly gives bit-identical half-widths -- which
+matters because pooled intervals are cached -- while sparing every
+process the ~1 s ``scipy.stats`` import (it also pulls in
+``scipy.sparse``, ``scipy.spatial`` and ``scipy.linalg``).  A CLI cache
+hit never computes an interval, so it never imports scipy at all.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "mean_confidence_interval",
@@ -56,7 +64,12 @@ def mean_confidence_interval(
     if n == 1:
         return ConfidenceInterval(m, math.inf, confidence, 1)
     se = float(x.std(ddof=1)) / math.sqrt(n)
-    tcrit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    from scipy.special import stdtrit
+
+    q = 0.5 + confidence / 2.0
+    # ``t.ppf`` answers q == 0 with the support's lower end (stdtrit says
+    # +inf) and ends in ``* scale + loc``, kept so ``-0.0`` normalises alike
+    tcrit = -math.inf if q == 0.0 else float(stdtrit(n - 1, q) * 1.0 + 0.0)
     return ConfidenceInterval(m, tcrit * se, confidence, n)
 
 

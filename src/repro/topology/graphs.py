@@ -4,21 +4,27 @@ These converters rebuild the cube/butterfly as ``networkx.DiGraph``
 objects so graph-theoretic invariants (degrees, diameter, path counts)
 can be checked against a third-party implementation in the test suite,
 and so downstream users can feed the topologies to standard graph
-tooling.
+tooling.  ``networkx`` is imported inside each adapter, so importing
+:mod:`repro.topology` does not pay for it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.topology.butterfly import Butterfly
 from repro.topology.hypercube import Hypercube
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["hypercube_digraph", "butterfly_digraph"]
 
 
 def hypercube_digraph(cube: Hypercube) -> "nx.DiGraph":
     """The d-cube as a directed graph; arcs carry ``index`` and ``dim``."""
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(range(cube.num_nodes))
     for arc in cube.arcs():
@@ -29,6 +35,8 @@ def hypercube_digraph(cube: Hypercube) -> "nx.DiGraph":
 def butterfly_digraph(bf: Butterfly) -> "nx.DiGraph":
     """The butterfly as a directed graph over dense node ids
     (``level * 2**d + row``); arcs carry ``index``, ``level``, ``kind``."""
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(range(bf.num_nodes))
     for arc_id in range(bf.num_arcs):

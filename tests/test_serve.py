@@ -301,3 +301,27 @@ class TestJobRetention:
 
         with pytest.raises(ValueError, match="job_ttl"):
             JobManager(tmp_path, "locked", 1, job_ttl=0.0)
+
+    def test_refused_dispatch_leaves_no_job_behind(self, tmp_path):
+        import asyncio
+
+        from repro.serve.jobs import JobManager
+
+        state = tmp_path / "state"
+        state.mkdir()
+        manager = JobManager(tmp_path / "store", "locked", 1, state_dir=state)
+        manager.executor.shutdown()
+        loop = asyncio.new_event_loop()
+        try:
+            spec = ScenarioSpec.from_dict(SPEC)
+            with pytest.raises(RuntimeError, match="shutdown"):
+                manager.submit(loop, spec)
+            assert manager.counts()["queued"] == 0
+            # nothing left active to coalesce onto: the retry fails too
+            with pytest.raises(RuntimeError, match="shutdown"):
+                manager.submit(loop, spec)
+            assert manager.jobs == {}
+            assert list(state.iterdir()) == []
+        finally:
+            loop.close()
+            manager.shutdown()
