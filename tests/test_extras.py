@@ -164,9 +164,16 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_version(self):
+        import re
+        from pathlib import Path
+
         import repro
 
-        assert repro.__version__ == "1.1.0"
+        # regex, not tomllib: Python 3.10 has no tomllib
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+        assert declared is not None
+        assert repro.__version__ == declared.group(1)
 
     def test_subpackage_all_exports(self):
         import repro.queueing as q

@@ -1,6 +1,7 @@
 """Tests for the capability-declaring network-plugin API and registry.
 
-Covers the registry (decorator registration, aliases, entry points),
+Covers the registry (decorator registration, aliases; entry points are
+covered for all four axes in ``test_registry.py``),
 the topology conformance contract every registered network must honor
 (dense level-major arc ids, ``arc(i)`` round trip, ``level_slice``
 partition), the load-law round trip, the greedy hop-count
@@ -27,7 +28,6 @@ from repro.networks import (
     register_network,
     unregister_network,
 )
-from repro.networks import registry as network_registry
 from repro.runner import ScenarioSpec, get_scenario, measure
 from repro.sim.run_spec import run_spec
 
@@ -136,36 +136,6 @@ class TestRegistry:
         unregister_network("tempnet")
         with pytest.raises(ConfigurationError):
             get_network("tn")
-
-    def test_entry_point_discovery(self, monkeypatch):
-        class EPNetwork(NetworkPlugin):
-            name = "ep-net"
-            summary = "from an entry point"
-
-        class FakeEP:
-            name = "ep-net"
-
-            def load(self):
-                return EPNetwork
-
-        class BrokenEP:
-            name = "broken-net"
-
-            def load(self):
-                raise ImportError("third-party package is broken")
-
-        import importlib.metadata as md
-
-        monkeypatch.setattr(
-            md, "entry_points", lambda group=None: [FakeEP(), BrokenEP()]
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match="broken-net"):
-                network_registry._load_entry_points()
-            assert "ep-net" in available_networks()
-            assert "broken-net" not in available_networks()
-        finally:
-            unregister_network("ep-net")
 
 
 class TestTopologyConformance:

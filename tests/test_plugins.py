@@ -16,7 +16,6 @@ from repro.plugins import (
     schemes_for_network,
     unregister_scheme,
 )
-from repro.plugins import registry as plugin_registry
 from repro.plugins.api import steady_output
 from repro.runner import ScenarioSpec, get_scenario, measure
 from repro.sim.run_spec import run_spec
@@ -72,37 +71,6 @@ class TestRegistry:
         # re-registering the *same* class is an idempotent no-op
         register_scheme(type(get_plugin("greedy")))
         assert "greedy" in available_schemes()
-
-    def test_entry_point_discovery(self, monkeypatch):
-        class EPPlugin(SchemePlugin):
-            name = "ep-scheme"
-            summary = "from an entry point"
-            capabilities = Capabilities(networks=("hypercube",))
-
-        class FakeEP:
-            name = "ep-scheme"
-
-            def load(self):
-                return EPPlugin
-
-        class BrokenEP:
-            name = "broken-scheme"
-
-            def load(self):
-                raise ImportError("third-party package is broken")
-
-        import importlib.metadata as md
-
-        monkeypatch.setattr(
-            md, "entry_points", lambda group=None: [FakeEP(), BrokenEP()]
-        )
-        try:
-            with pytest.warns(RuntimeWarning, match="broken-scheme"):
-                plugin_registry._load_entry_points()
-            assert "ep-scheme" in available_schemes()
-            assert "broken-scheme" not in available_schemes()
-        finally:
-            unregister_scheme("ep-scheme")
 
 
 class TestCustomPluginEndToEnd:
